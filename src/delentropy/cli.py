@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Every subcommand is deterministic given its full flag set (seed included)
-and produces identical bytes for every ``--workers`` value.  Exit codes:
+Every subcommand is deterministic given its full flag set (seed included).
+Everything runs in one process; ``--workers`` is accepted for compatibility
+and ignored, so the bytes are the same for every value.  Exit codes:
 0 success, 1 internal failure (a proved statement falsified), 2 usage error,
-3 enumeration-guard capacity error, 4 notable finding (a predicted witness
-set deviated or the entropy ordering broke).
+3 capacity error (enumeration guard, int64 or float range exceeded),
+4 notable finding (a predicted witness set deviated or the entropy ordering
+broke).
 """
 
 from __future__ import annotations
@@ -14,12 +16,10 @@ import csv
 import io
 import json
 import sys
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
 from . import core, distribution, embedding, entropy, extremal, moments
-from ._parallel import map_ordered
 from .core import CapacityError
 from .extremal import ExtremalInvariantError
 
@@ -28,6 +28,8 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_FINDING = 4
+
+_WORKERS_HELP = "accepted for compatibility and ignored; one process does all work"
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +322,10 @@ def _entropy_row(n: int, x: str):
     return (x, n, rep.shannon_bits, rep.renyi2_bits, rep.min_entropy_bits)
 
 
-def build_repro_files(workers: int = 1) -> dict[str, str]:
+def build_repro_files() -> dict[str, str]:
     """The three reference artifacts as {filename: file text}."""
     files: dict[str, str] = {}
-    table = extremal.ordering_table(8, 5, workers=workers)
+    table = extremal.ordering_table(8, 5)
     files["table_n8_m5.csv"] = _render_csv(
         ["pattern", "kappa2", "H_bits"], _table_rows(table)
     )
@@ -333,7 +335,7 @@ def build_repro_files(workers: int = 1) -> dict[str, str]:
         files[f"fig1_hist_01_n{n:02d}.csv"] = _render_csv(
             ["omega", "count"], rows, ["mode=exact", f"n={n}", "pattern=01"]
         )
-    rows = map_ordered(partial(_entropy_row, 8), core.all_bitstrings(5), workers)
+    rows = [_entropy_row(8, x) for x in core.all_bitstrings(5)]
     files["fig2_entropy_m5_n8.csv"] = _render_csv(
         ["pattern", "n", "H", "R", "Hmin"], rows
     )
@@ -343,7 +345,7 @@ def build_repro_files(workers: int = 1) -> dict[str, str]:
 def _cmd_repro(args) -> int:
     outdir = Path(args.out) if args.out else Path("repro_out")
     outdir.mkdir(parents=True, exist_ok=True)
-    files = build_repro_files(workers=args.workers)
+    files = build_repro_files()
     expected_root = resources.files("delentropy").joinpath("repro_expected")
     failures = 0
     for name, text in files.items():
@@ -381,7 +383,7 @@ def _add_common(sub, guard=False, workers=False):
             help=f"enumeration guard on n (default {core.DEFAULT_GUARD})",
         )
     if workers:
-        sub.add_argument("--workers", type=int, default=1)
+        sub.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("repro", help="rebuild reference artifacts and diff them")
     p.add_argument("--out", default=None, help="output directory (default repro_out)")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.set_defaults(func=_cmd_repro)
 
     return parser

@@ -14,9 +14,14 @@ import math
 # raises the guard explicitly.
 DEFAULT_GUARD = 30
 
+# Exact enumeration keeps weights W <= C(n, m) and text multiplicities
+# <= 2^n in int64; both fit for every m only while n <= 62, so no guard
+# admits a larger n.
+_MAX_EXACT_N = 62
+
 
 class CapacityError(Exception):
-    """Requested enumeration exceeds the configured text-length guard."""
+    """Requested work or result exceeds a documented capacity bound."""
 
 
 class DegenerateDistributionError(Exception):
@@ -40,6 +45,11 @@ def validate_text(y: str) -> str:
 
 
 def check_guard(n: int, guard: int | None) -> None:
+    if n > _MAX_EXACT_N:
+        raise CapacityError(
+            f"exact enumeration over 2^{n} texts refused: n <= {_MAX_EXACT_N} "
+            f"keeps weights and multiplicities within int64, whatever the guard"
+        )
     limit = DEFAULT_GUARD if guard is None else guard
     if n > limit:
         raise CapacityError(

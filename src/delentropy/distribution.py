@@ -9,18 +9,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 from . import core
-from ._parallel import map_ordered
-from .embedding import total_masks
+from .embedding import (
+    _extend,
+    _pattern_bits,
+    count_embeddings,
+    prefix_table,
+    total_masks,
+)
 from .moments import MomentSet
 
 # Sample index s is drawn by PRNG stream s // _BLOCK; stream j is
-# PCG64(seed).jumped(j).  The rule fixes results for every worker count.
+# PCG64(seed).jumped(j), so results depend on (seed, sample_size) alone.
 _BLOCK = 8192
+
+# Pairs of half-text classes whose weights exact_histogram forms at once;
+# bounds its int64 temporaries to a few MiB.
+_PAIRS = 1 << 18
 
 
 @dataclass
@@ -45,64 +53,57 @@ class WeightHistogram:
 def exact_histogram(x: str, n: int, *, guard: int | None = None) -> WeightHistogram:
     """Exact multiplicity of every weight value over all 2^n texts.
 
-    Texts with equal prefix-count vectors are indistinguishable to every
-    future symbol, so the walk aggregates them: the state map sends each
-    reachable count vector to the number of texts producing it.  The result
-    is identical to enumerating all texts, usually far cheaper.
+    Meet in the middle: split each text as y = uv with |u| = n // 2.  An
+    embedding puts some prefix x[:i] in u and the rest in v, so
+    W(uv) = sum_i c_i(u) * s_i(v), where c_i(u) counts x[:i] in u and
+    s_i(v) counts x[i:] in v, the prefix count of reverse(x) of length m - i
+    in reverse(v).  Halves with equal count columns are merged with their
+    multiplicities, and W = C.T @ S is tallied over all pairs of distinct
+    columns in chunks, in exact integer arithmetic.
     """
     core.validate_pattern(x)
     m = len(x)
     if n < m:
         raise ValueError(f"text length {n} shorter than pattern length {m}")
     core.check_guard(n, guard)
-    states: dict[tuple, int] = {(0,) * m: 1}
-    for _ in range(n):
-        nxt: dict[tuple, int] = {}
-        for vec, mult in states.items():
-            for b in "01":
-                c = list(vec)
-                for i in range(m, 0, -1):
-                    if x[i - 1] == b:
-                        c[i - 1] += c[i - 2] if i >= 2 else 1
-                key = tuple(c)
-                if key in nxt:
-                    nxt[key] += mult
-                else:
-                    nxt[key] = mult
-        states = nxt
+    h = n // 2
+    pre, pre_mult = np.unique(prefix_table(x, h), axis=1, return_counts=True)
+    suf, suf_mult = np.unique(
+        prefix_table(core.reverse(x), n - h)[::-1], axis=1, return_counts=True
+    )
     counts: dict[int, int] = {}
-    for vec, mult in states.items():
-        w = vec[m - 1]
-        counts[w] = counts.get(w, 0) + mult
+    step = max(1, _PAIRS // suf.shape[1])
+    for lo in range(0, pre.shape[1], step):
+        weights = (pre[:, lo : lo + step].T @ suf).ravel()
+        mult = np.multiply.outer(pre_mult[lo : lo + step], suf_mult).ravel()
+        order = np.argsort(weights)
+        weights, mult = weights[order], mult[order]
+        starts = np.flatnonzero(np.r_[True, weights[1:] != weights[:-1]])
+        sums = np.add.reduceat(mult, starts)
+        for w, c in zip(weights[starts].tolist(), sums.tolist()):
+            counts[w] = counts.get(w, 0) + c
     return WeightHistogram(pattern=x, text_length=n, counts=counts, mode="exact")
 
 
-def _count_block(x: str, n: int, seed: int, block: tuple[int, int]) -> dict[int, int]:
+def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> dict[int, int]:
     """Tally weights for one PRNG stream's slice of the sample index space."""
-    stream, size = block
     rng = np.random.Generator(np.random.PCG64(seed).jumped(stream))
     bits = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
     m = len(x)
-    xb = np.array([1 if c == "1" else 0 for c in x], dtype=np.uint8)
-    if core.binomial(n, m) < 2**62:
-        dp = np.zeros((size, m + 1), dtype=np.int64)
-        dp[:, 0] = 1
-        for t in range(n):
-            col = bits[:, t]
-            for i in range(m, 0, -1):
-                dp[:, i] += (col == xb[i - 1]) * dp[:, i - 1]
-        values, tallies = np.unique(dp[:, m], return_counts=True)
-        return {int(v): int(c) for v, c in zip(values, tallies)}
-    # counts may overflow int64: same draws, exact big-int DP per text
-    out: dict[int, int] = {}
-    for row in bits:
-        dp_row = [1] + [0] * m
-        for b in row:
-            for i in range(m, 0, -1):
-                if xb[i - 1] == b:
-                    dp_row[i] += dp_row[i - 1]
-        out[dp_row[m]] = out.get(dp_row[m], 0) + 1
-    return out
+    if core.binomial(n, m) >= 2**62:
+        # counts may overflow int64: same draws, exact big-int count per text
+        out: dict[int, int] = {}
+        for row in bits:
+            w = count_embeddings(x, "".join(map(str, row.tolist())))
+            out[w] = out.get(w, 0) + 1
+        return out
+    xb = _pattern_bits(x)
+    dp = np.zeros((m + 1, size), dtype=np.int64)
+    dp[0] = 1
+    for col in np.ascontiguousarray(bits.T):
+        _extend(dp, col, xb)
+    values, tallies = np.unique(dp[m], return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, tallies)}
 
 
 def sample_histogram(
@@ -115,9 +116,10 @@ def sample_histogram(
 ) -> WeightHistogram:
     """Histogram of weights over sample_size uniform random texts.
 
-    Reproducible: the (seed, sample_size) pair fully determines the result;
-    worker count never changes it (see the block-to-stream rule above).
-    There is no enumeration guard, so this extends histograms past it.
+    Reproducible: the (seed, sample_size) pair fully determines the result
+    (see the block-to-stream rule above).  ``workers`` is accepted for
+    compatibility and ignored.  There is no enumeration guard, so this
+    extends histograms past it.
     """
     core.validate_pattern(x)
     m = len(x)
@@ -125,13 +127,10 @@ def sample_histogram(
         raise ValueError(f"text length {n} shorter than pattern length {m}")
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
-    blocks = [
-        (j, min(_BLOCK, sample_size - j * _BLOCK))
-        for j in range((sample_size + _BLOCK - 1) // _BLOCK)
-    ]
     counts: dict[int, int] = {}
-    for part in map_ordered(partial(_count_block, x, n, seed), blocks, workers):
-        for w, c in part.items():
+    for j in range((sample_size + _BLOCK - 1) // _BLOCK):
+        size = min(_BLOCK, sample_size - j * _BLOCK)
+        for w, c in _count_block(x, n, seed, j, size).items():
             counts[w] = counts.get(w, 0) + c
     return WeightHistogram(
         pattern=x,

@@ -10,15 +10,11 @@ is C(n, m) * 2^(n-m).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterator
 
-from . import core
-from ._parallel import map_ordered
+import numpy as np
 
-# Subtree tasks for parallel enumeration share the text space by this many
-# leading bits; any value gives the same merged output.
-_PREFIX_DEPTH = 6
+from . import core
 
 
 @dataclass
@@ -57,6 +53,33 @@ def count_embeddings(x: str, y: str) -> int:
     return dp[m]
 
 
+def _pattern_bits(x: str) -> np.ndarray:
+    """The pattern as a uint8 array of 0/1 symbols."""
+    return np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")
+
+
+def _extend(dp: np.ndarray, bits: np.ndarray, xb: np.ndarray) -> None:
+    """Append symbol bits[j] to text j of the int64 (m+1, N) prefix-count
+    table dp, in place; the product is formed from the old rows first."""
+    dp[1:] += (bits == xb[:, None]) * dp[:-1]
+
+
+def prefix_table(x: str, k: int) -> np.ndarray:
+    """Prefix embedding counts of x in every length-k text.
+
+    Entry (i, v) counts embeddings of x[:i] in the text whose binary value
+    is v, so columns run in lexicographic text order.  Entries stay exact in
+    int64 while C(k, m) < 2^63, which the enumeration guard ensures.
+    """
+    xb = _pattern_bits(x)
+    dp = np.zeros((len(x) + 1, 1), dtype=np.int64)
+    dp[0] = 1
+    for _ in range(k):
+        dp = np.repeat(dp, 2, axis=1)
+        _extend(dp, np.arange(dp.shape[1]) % 2, xb)
+    return dp
+
+
 def total_masks(n: int, m: int) -> int:
     """Total embedding count over all length-n texts: C(n, m) * 2^(n-m)."""
     if m < 1:
@@ -66,64 +89,32 @@ def total_masks(n: int, m: int) -> int:
     return core.binomial(n, m) * (1 << (n - m))
 
 
-def _subtree_rows(x: str, n: int, prefix: str) -> list[tuple[str, int]]:
-    """All (text, weight) rows with weight >= 1 in the subtree under prefix."""
-    m = len(x)
-    dp = [1] + [0] * m
-    for c in prefix:
-        for i in range(m, 0, -1):
-            if x[i - 1] == c:
-                dp[i] += dp[i - 1]
-    rows: list[tuple[str, int]] = []
-    bits = list(prefix) + [""] * (n - len(prefix))
-
-    def walk(depth: int) -> None:
-        if depth == n:
-            if dp[m]:
-                rows.append(("".join(bits), dp[m]))
-            return
-        for b in "01":
-            bits[depth] = b
-            for i in range(m, 0, -1):
-                if x[i - 1] == b:
-                    dp[i] += dp[i - 1]
-            walk(depth + 1)
-            for i in range(1, m + 1):
-                if x[i - 1] == b:
-                    dp[i] -= dp[i - 1]
-
-    walk(len(prefix))
-    return rows
-
-
 def uncertainty_set(
     x: str, n: int, *, guard: int | None = None, workers: int = 1
 ) -> Iterator[tuple[str, int]]:
     """Yield (text, weight) for every length-n text with weight >= 1.
 
-    Texts come out in lexicographic order, each exactly once.  The walk keeps
-    the vector of prefix embedding counts incrementally, so the whole stream
-    costs O(2^n * m) rather than O(2^n * n * m).
+    Texts come out in lexicographic order, each exactly once.  The weights
+    are the last row of ``prefix_table(x, n)``, built in O(2^n * m).
+    ``workers`` is accepted for compatibility and ignored.
     """
     core.validate_pattern(x)
     m = len(x)
     if n < m:
         raise ValueError(f"text length {n} shorter than pattern length {m}")
     core.check_guard(n, guard)
-    if workers <= 1:
-        yield from _subtree_rows(x, n, "")
-        return
-    depth = min(n, _PREFIX_DEPTH)
-    prefixes = list(core.all_bitstrings(depth)) if depth else [""]
-    for rows in map_ordered(partial(_subtree_rows, x, n), prefixes, workers):
-        yield from rows
+    weights = prefix_table(x, n)[m]
+    texts = np.flatnonzero(weights)
+    weights = weights[texts].tolist()
+    for v, w in zip(texts.tolist(), weights):
+        yield format(v, f"0{n}b"), w
 
 
 def posterior(
     x: str, n: int, *, guard: int | None = None, workers: int = 1
 ) -> WeightDistribution:
     """Exact posterior weight distribution over the compatible texts."""
-    entries = dict(uncertainty_set(x, n, guard=guard, workers=workers))
+    entries = dict(uncertainty_set(x, n, guard=guard))
     return WeightDistribution(
         pattern=x,
         text_length=n,

@@ -56,14 +56,17 @@ def shannon_entropy(x: str, n: int, *, guard: int | None = None) -> float:
 
     Texts with equal weight are grouped through the exact histogram, so the
     log accumulation runs over distinct weight classes with exact
-    multiplicities; floats appear only in the per-class products.
+    multiplicities; floats appear only in the per-class products.  The
+    products are summed with ``math.fsum`` in weight order, so patterns
+    with equal histograms get bit-identical entropies.
     """
     hist = exact_histogram(x, n, guard=guard)
     mu = total_masks(n, len(x))
-    acc = 0.0
-    for w, mult in hist.counts.items():
-        if w > 1:
-            acc += float(Fraction(mult * w, mu)) * math.log2(w)
+    acc = math.fsum(
+        float(Fraction(mult * w, mu)) * math.log2(w)
+        for w, mult in sorted(hist.counts.items())
+        if w > 1
+    )
     return math.log2(mu) - acc
 
 

@@ -3,16 +3,17 @@
 The autocorrelation maximum is a proved statement and any counterexample is
 a hard error; the autocorrelation minimum and the finite-length entropy
 minimum are evidence-gathering scans whose deviations are reported as
-findings, never silently absorbed.
+findings, never silently absorbed.  Every ``workers`` argument is accepted
+for compatibility and ignored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+
+import numpy as np
 
 from . import core
-from ._parallel import map_ordered
 from .entropy import shannon_entropy
 from .moments import interleaving_matrix, kappa_max, kappa_squared
 
@@ -20,7 +21,13 @@ from .moments import interleaving_matrix, kappa_max, kappa_squared
 # than this relative tolerance counts as a tie
 _TIE_RTOL = 1e-9
 
-_SCAN_CHUNKS = 64
+# kappa2 <= kappa_max(m) and the quadratic form's terms stay below
+# 2 * kappa_max(m), which fits int64 up to m = 30.
+_KAPPA_M_MAX = 30
+
+# Patterns per block of the kappa2 scan; larger blocks raise peak memory
+# without making the scan faster.
+_KAPPA_BLOCK = 1 << 11
 
 
 class ExtremalInvariantError(Exception):
@@ -85,57 +92,46 @@ def alternating_patterns(m: int) -> list[str]:
     return sorted({a, core.complement(a)})
 
 
-def _kappa_chunk(m: int, bounds: tuple[int, int]):
-    """Scan patterns [lo, hi) and return (max, max wits, min, min wits)."""
-    lo, hi = bounds
-    mat = interleaving_matrix(m)
-    best_max = -1
-    best_min = None
-    wits_max: list[str] = []
-    wits_min: list[str] = []
-    rng = range(m)
-    for v in range(lo, hi):
-        x = format(v, f"0{m}b")
-        k = 0
-        for r in rng:
-            xr = x[r]
-            row = mat[r]
-            for s in rng:
-                if xr == x[s]:
-                    k += row[s]
-        if k > best_max:
-            best_max, wits_max = k, [x]
-        elif k == best_max:
-            wits_max.append(x)
-        if best_min is None or k < best_min:
-            best_min, wits_min = k, [x]
-        elif k == best_min:
-            wits_min.append(x)
-    return best_max, wits_max, best_min, wits_min
+def _kappa_extremes(m: int):
+    """(max, max witnesses, min, min witnesses) of kappa2 over all 2^m patterns.
 
-
-def _kappa_extremes(m: int, workers: int):
+    With symbols b in {0, 1} and M symmetric, [b_r = b_s] expands to
+    1 - b_r - b_s + 2 b_r b_s, so kappa2(b) = sum(M) - 2 b.rowsum(M) + 2 bMb.
+    The scan evaluates that form over blocks of patterns and keeps only the
+    running extremes; witnesses come out in lexicographic order.
+    """
     if m < 1:
         raise ValueError("pattern length must be >= 1")
-    total = 1 << m
-    step = max(1, total // _SCAN_CHUNKS)
-    bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    best_max = -1
-    best_min = None
-    wits_max: list[str] = []
-    wits_min: list[str] = []
-    for cmax, cwmax, cmin, cwmin in map_ordered(
-        partial(_kappa_chunk, m), bounds, workers
-    ):
-        if cmax > best_max:
-            best_max, wits_max = cmax, list(cwmax)
-        elif cmax == best_max:
-            wits_max.extend(cwmax)
-        if best_min is None or cmin < best_min:
-            best_min, wits_min = cmin, list(cwmin)
-        elif cmin == best_min:
-            wits_min.extend(cwmin)
-    return best_max, sorted(wits_max), best_min, sorted(wits_min)
+    if m > _KAPPA_M_MAX:
+        raise core.CapacityError(
+            f"kappa2 scan over 2^{m} patterns refused: m <= {_KAPPA_M_MAX} "
+            f"keeps 2 * kappa_max(m) within int64"
+        )
+    mat = np.array(interleaving_matrix(m), dtype=np.int64)
+    total = int(mat.sum())
+    rowsum = mat.sum(axis=1)
+    shifts = np.arange(m - 1, -1, -1)
+    step = min(1 << m, _KAPPA_BLOCK)
+    best_max = best_min = None
+    wits_max: list[int] = []
+    wits_min: list[int] = []
+    for lo in range(0, 1 << m, step):
+        v = np.arange(lo, lo + step)
+        b = (v[:, None] >> shifts) & 1
+        k = total - 2 * (b @ rowsum) + 2 * ((b @ mat) * b).sum(axis=1)
+        if best_max is None or k.max() > best_max:
+            best_max, wits_max = int(k.max()), []
+        if best_min is None or k.min() < best_min:
+            best_min, wits_min = int(k.min()), []
+        wits_max += v[k == best_max].tolist()
+        wits_min += v[k == best_min].tolist()
+    fmt = f"0{m}b"
+    return (
+        best_max,
+        [format(v, fmt) for v in wits_max],
+        best_min,
+        [format(v, fmt) for v in wits_min],
+    )
 
 
 def verify_kappa_max(m: int, *, workers: int = 1) -> ExtremalResult:
@@ -145,7 +141,7 @@ def verify_kappa_max(m: int, *, workers: int = 1) -> ExtremalResult:
     A deviation would falsify a proved statement, so it raises instead of
     being reported as a finding.
     """
-    best, witnesses, _, _ = _kappa_extremes(m, workers)
+    best, witnesses, _, _ = _kappa_extremes(m)
     expected_value = kappa_max(m)
     expected = constant_patterns(m)
     if best != expected_value or witnesses != sorted(expected):
@@ -169,7 +165,7 @@ def search_kappa_min(m: int, *, workers: int = 1) -> ExtremalResult:
     whatever it finds and leaves the comparison to the caller (a deviation
     is a notable finding, not an error).
     """
-    _, _, best, witnesses = _kappa_extremes(m, workers)
+    _, _, best, witnesses = _kappa_extremes(m)
     return ExtremalResult(
         criterion="kappa-min",
         m=m,
@@ -179,22 +175,8 @@ def search_kappa_min(m: int, *, workers: int = 1) -> ExtremalResult:
     )
 
 
-def _entropy_chunk(n: int, m: int, guard: int | None, bounds: tuple[int, int]):
-    lo, hi = bounds
-    return [
-        (x, shannon_entropy(x, n, guard=guard))
-        for x in (format(v, f"0{m}b") for v in range(lo, hi))
-    ]
-
-
-def _entropy_rows(n: int, m: int, guard: int | None, workers: int):
-    total = 1 << m
-    step = max(1, total // _SCAN_CHUNKS)
-    bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-    rows: list[tuple[str, float]] = []
-    for part in map_ordered(partial(_entropy_chunk, n, m, guard), bounds, workers):
-        rows.extend(part)
-    return rows
+def _entropy_rows(n: int, m: int, guard: int | None) -> list[tuple[str, float]]:
+    return [(x, shannon_entropy(x, n, guard=guard)) for x in core.all_bitstrings(m)]
 
 
 def ordering_table(
@@ -213,7 +195,7 @@ def ordering_table(
     if n < m:
         raise ValueError(f"text length {n} shorter than pattern length {m}")
     core.check_guard(n, guard)
-    entropies = dict(_entropy_rows(n, m, guard, workers))
+    entropies = dict(_entropy_rows(n, m, guard))
     rows = sorted(
         ((x, kappa_squared(x), entropies[x]) for x in core.all_bitstrings(m)),
         key=lambda row: (-row[1], row[0]),
@@ -288,7 +270,7 @@ def check_entropy_min(
     results = []
     for n in n_values:
         core.check_guard(n, guard)
-        rows = _entropy_rows(n, m, guard, workers)
+        rows = _entropy_rows(n, m, guard)
         best = min(h for _, h in rows)
         tol = _TIE_RTOL * max(1.0, abs(best))
         witnesses = sorted(x for x, h in rows if h <= best + tol)

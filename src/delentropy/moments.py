@@ -209,10 +209,12 @@ def variance_coefficient(kappa2: int, m: int) -> int:
 
 
 def asymptotic_mean(n: int, m: int) -> float:
-    """Leading term of E[W]: 2^(-m) * n^m / m!."""
+    """Leading term of E[W]: 2^(-m) * n^m / m!, rounded once from the exact
+    ratio so that large n^m cannot overflow on the way."""
     if m < 1 or n < m:
         raise ValueError("need n >= m >= 1")
-    return 2.0 ** (-m) * float(n) ** m / math.factorial(m)
+    ratio = Fraction(n**m, (1 << m) * math.factorial(m))
+    return _round_once(ratio, f"asymptotic mean at n={n}, m={m}")
 
 
 def asymptotic_variance(n: int, m: int, kappa2: int) -> float:
@@ -220,12 +222,23 @@ def asymptotic_variance(n: int, m: int, kappa2: int) -> float:
 
     Matched single-overlap interleavings raise the variance and mismatched
     ones lower it, so the growth constant is the signed count
-    2 * kappa2 - m * C(2m-1, m), not kappa2 itself.
+    2 * kappa2 - m * C(2m-1, m), not kappa2 itself.  The value is rounded
+    once from the exact ratio.
     """
     if m < 1 or n < m:
         raise ValueError("need n >= m >= 1")
     coeff = variance_coefficient(kappa2, m)
-    return 2.0 ** (-2 * m) * coeff * float(n) ** (2 * m - 1) / math.factorial(2 * m - 1)
+    ratio = Fraction(
+        coeff * n ** (2 * m - 1), (1 << (2 * m)) * math.factorial(2 * m - 1)
+    )
+    return _round_once(ratio, f"asymptotic variance at n={n}, m={m}")
+
+
+def _round_once(ratio: Fraction, what: str) -> float:
+    try:
+        return float(ratio)
+    except OverflowError:
+        raise core.CapacityError(f"{what} exceeds the float range (1.8e308)") from None
 
 
 def gaussian_limit_moments(n: int, m: int, kappa2: int) -> MomentSet:

@@ -55,6 +55,12 @@ def counts_all_texts(x: str, n: int) -> np.ndarray:
     return dp[:, m]
 
 
+def vector_histogram(x: str, n: int) -> dict:
+    """Weight histogram over all length-n texts from counts_all_texts."""
+    values, tallies = np.unique(counts_all_texts(x, n), return_counts=True)
+    return {int(w): int(c) for w, c in zip(values, tallies)}
+
+
 def complement_perm(n: int) -> np.ndarray:
     """Index permutation sending each text to its bitwise complement."""
     return np.arange(1 << n, dtype=np.int64) ^ ((1 << n) - 1)

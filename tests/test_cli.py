@@ -1,8 +1,10 @@
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
-from delentropy import cli
+from delentropy import cli, kappa_max, kappa_squared
 from delentropy.cli import _parse_n_range, main
 
 
@@ -202,6 +204,23 @@ def test_moments_asymptotic(capsys):
         capsys, "moments", "01", "100", "--r", "3", "--mode", "asymptotic"
     )
     assert code == 2
+    # at n = 10^6, n^m and n^(2m-1) overflow a float but these ratios do not
+    wide = "011010011100101101000111010110010011101100010110100111001010"
+    mean = Fraction(10**360, 2**60 * math.factorial(60))
+    coeff = 2 * kappa_squared(wide[:30]) - kappa_max(30)
+    var = Fraction(coeff * 10**354, 2**60 * math.factorial(59))
+    for x, r, want in [(wide, 1, mean), (wide[:30], 2, var)]:
+        code, out, err = run(
+            capsys, "moments", x, "1000000", "--r", str(r), "--mode", "asymptotic"
+        )
+        assert code == 0, err
+        assert float(out.splitlines()[1].split(",")[3]) == float(want)
+    # the 60-bit variance, near 10^517, is refused without a traceback
+    code, _, err = run(
+        capsys, "moments", wide, "1000000", "--r", "2", "--mode", "asymptotic"
+    )
+    assert code == 3 and err.startswith("capacity error:")
+    assert "float range" in err and "Traceback" not in err
 
 
 def test_gaussian_series(capsys):
@@ -219,8 +238,15 @@ def test_posterior_output(capsys):
 
 
 def test_capacity_exit(capsys):
-    code, _, err = run(capsys, "posterior", "0", "33")
-    assert code == 3 and "capacity error" in err
+    for argv, bound in [
+        (["posterior", "0", "33"], "30"),
+        (["hist", "01", "63", "--guard", "100"], "62"),  # int64, whatever the guard
+        (["extremal", "--criterion", "kappa-min", "31"], "30"),
+        (["extremal", "--criterion", "kappa-max", "31"], "30"),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and err.startswith("capacity error:")
+        assert bound in err and "Traceback" not in err
 
 
 def test_deterministic_output(capsys):

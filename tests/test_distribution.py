@@ -2,9 +2,11 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from delentropy import (
+    count_embeddings,
     empirical_moments,
     exact_histogram,
     exact_moment,
@@ -26,10 +28,14 @@ def test_exact_histogram_examples():
 
 
 def test_exact_histogram_matches_enumeration():
-    for m in range(1, 4):
+    # n up to 13 splits texts into equal and unequal halves alike
+    for m in range(1, 6):
         for x in ("".join(p) for p in itertools.product("01", repeat=m)):
-            for n in range(m, 10):
-                assert exact_histogram(x, n).counts == oracles.brute_histogram(x, n)
+            for n in range(m, 14):
+                want = oracles.vector_histogram(x, n)
+                if m < 4 and n < 10:
+                    assert want == oracles.brute_histogram(x, n)
+                assert exact_histogram(x, n).counts == want
 
 
 def test_exact_histogram_mass_identities():
@@ -46,6 +52,8 @@ def test_exact_histogram_guard():
     with pytest.raises(CapacityError):
         exact_histogram("01", 31)
     exact_histogram("01", 31, guard=31)  # explicit override
+    with pytest.raises(CapacityError, match="62"):
+        exact_histogram("01", 63, guard=100)  # int64 bound, whatever the guard
 
 
 def test_empirical_moments_examples():
@@ -102,6 +110,31 @@ def test_sample_histogram_worker_invariance():
     serial = sample_histogram("011", 9, 20000, seed=7)
     parallel = sample_histogram("011", 9, 20000, seed=7, workers=4)
     assert serial.counts == parallel.counts
+
+
+def _redrawn_histogram(x, n, sample_size, seed):
+    """Tally of count_embeddings over the documented draws: sample s comes
+    from stream s // 8192, and stream j is PCG64(seed).jumped(j)."""
+    counts = {}
+    for j in range((sample_size + 8191) // 8192):
+        size = min(8192, sample_size - j * 8192)
+        rng = np.random.Generator(np.random.PCG64(seed).jumped(j))
+        for row in rng.integers(0, 2, size=(size, n), dtype=np.uint8):
+            w = count_embeddings(x, "".join(str(b) for b in row))
+            counts[w] = counts.get(w, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize(
+    "x,n,sample_size,seed",
+    [
+        ("0110", 20, 8192 + 300, 11),  # int64 kernel, two streams
+        ("01" * 16 + "0", 66, 40, 3),  # C(66, 33) >= 2^62: big-int fallback
+    ],
+)
+def test_sample_histogram_matches_redrawn_counts(x, n, sample_size, seed):
+    got = sample_histogram(x, n, sample_size, seed=seed).counts
+    assert got == _redrawn_histogram(x, n, sample_size, seed)
 
 
 def test_sample_histogram_single_draw():

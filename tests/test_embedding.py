@@ -99,10 +99,13 @@ def test_posterior_point_mass():
 
 
 def test_posterior_weights_sum_to_normalizer():
-    # integer identity equivalent to posterior probabilities summing to 1
-    for m in range(1, 4):
+    # integer identity equivalent to posterior probabilities summing to 1;
+    # rows also come out in lexicographic text order
+    for m in range(1, 5):
         for x in ("".join(p) for p in itertools.product("01", repeat=m)):
-            for n in range(m, 9):
+            for n in range(m, 11):
+                want = oracles.brute_posterior(x, n)
+                assert list(uncertainty_set(x, n)) == sorted(want.items())
                 dist = posterior(x, n)
                 assert sum(dist.entries.values()) == dist.normalizer
-                assert dist.entries == oracles.brute_posterior(x, n)
+                assert dist.entries == want

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from delentropy import (
+    complement,
     entropy_report,
     exact_moment_set,
     gaussian_limit_moments,
@@ -12,6 +13,7 @@ from delentropy import (
     min_entropy,
     moment_entropy_estimate,
     renyi2_entropy,
+    reverse,
     shannon_entropy,
     total_masks,
 )
@@ -52,6 +54,15 @@ def test_shannon_matches_direct_posterior_sum():
                 assert shannon_entropy(x, n) == pytest.approx(
                     oracles.brute_shannon(x, n), abs=1e-12
                 )
+
+
+@pytest.mark.parametrize("m,n", [(5, 8), (5, 10), (6, 12), (7, 12)])
+def test_shannon_bit_identical_on_symmetry_orbits(m, n):
+    # mates share a histogram, so the float sum must not depend on its order
+    for x in ("".join(p) for p in itertools.product("01", repeat=m)):
+        h = shannon_entropy(x, n)
+        assert shannon_entropy(complement(x), n) == h
+        assert shannon_entropy(reverse(x), n) == h
 
 
 def test_shannon_guard():

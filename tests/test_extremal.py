@@ -3,8 +3,10 @@ import itertools
 import pytest
 
 from delentropy import (
+    all_bitstrings,
     check_entropy_min,
     complement,
+    kappa_squared,
     ordering_table,
     reverse,
     search_kappa_min,
@@ -44,6 +46,18 @@ def test_search_kappa_min_small():
     res = search_kappa_min(1)
     assert res.value == 1 and res.witnesses == ["0", "1"]
     assert res.finding is None  # degenerate: max == min
+
+
+def test_kappa_scans_match_direct_evaluation():
+    for m in range(1, 11):
+        kappas = {x: kappa_squared(x) for x in all_bitstrings(m)}
+        hi, lo = max(kappas.values()), min(kappas.values())
+        res = verify_kappa_max(m)
+        assert res.value == hi
+        assert res.witnesses == [x for x, k in kappas.items() if k == hi]
+        res = search_kappa_min(m)
+        assert res.value == lo
+        assert res.witnesses == [x for x, k in kappas.items() if k == lo]
 
 
 def test_search_workers_match_serial():
