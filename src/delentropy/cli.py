@@ -106,16 +106,21 @@ def _cmd_kappa(args) -> int:
     if (args.pattern is None) == (args.all is None):
         raise ValueError("give a pattern or --all M, not both")
     if args.all is not None:
-        patterns = list(core.all_bitstrings(args.all))
-    else:
-        patterns = [core.validate_pattern(args.pattern)]
-    if args.decomposition:
-        if len(patterns) != 1:
+        if args.decomposition:
             raise ValueError("--decomposition needs a single pattern")
-        dec = moments.kappa_decomposition(patterns[0])
+        rows = [
+            (format(v, f"0{args.all}b"), k)
+            for vs, ks in extremal.kappa_blocks(args.all)
+            for v, k in zip(vs.tolist(), ks.tolist())
+        ]
+    else:
+        x = core.validate_pattern(args.pattern)
+        rows = [(x, moments.kappa_squared(x))]
+    if args.decomposition:
+        dec = moments.kappa_decomposition(x)
         if args.format == "json":
             obj = {
-                "pattern": patterns[0],
+                "pattern": x,
                 "m": dec.m,
                 "kappa2": dec.kappa_squared,
                 "B": dec.symbol_mask,
@@ -137,7 +142,6 @@ def _cmd_kappa(args) -> int:
             buf.write(f"# kappa2={dec.kappa_squared}\n")
             _write(args, buf.getvalue())
         return EXIT_OK
-    rows = [(x, moments.kappa_squared(x)) for x in patterns]
     _write(args, _render(args, ["pattern", "kappa2"], rows))
     return EXIT_OK
 

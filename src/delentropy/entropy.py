@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import core
-from .distribution import exact_histogram
+from .distribution import WeightHistogram, exact_histogram
 from .embedding import total_masks
 from .moments import MomentSet, raw_moments
 
@@ -60,8 +60,11 @@ def shannon_entropy(x: str, n: int, *, guard: int | None = None) -> float:
     products are summed with ``math.fsum`` in weight order, so patterns
     with equal histograms get bit-identical entropies.
     """
-    hist = exact_histogram(x, n, guard=guard)
-    mu = total_masks(n, len(x))
+    return _shannon_bits(exact_histogram(x, n, guard=guard))
+
+
+def _shannon_bits(hist: WeightHistogram) -> float:
+    mu = total_masks(hist.text_length, len(hist.pattern))
     acc = math.fsum(
         float(Fraction(mult * w, mu)) * math.log2(w)
         for w, mult in sorted(hist.counts.items())
@@ -84,19 +87,24 @@ def renyi2_entropy(x: str, n: int) -> float:
 
 def min_entropy(x: str, n: int, *, guard: int | None = None) -> float:
     """Min-entropy -log2(max posterior probability) in bits."""
-    hist = exact_histogram(x, n, guard=guard)
+    return _min_entropy_bits(exact_histogram(x, n, guard=guard))
+
+
+def _min_entropy_bits(hist: WeightHistogram) -> float:
+    mu = total_masks(hist.text_length, len(hist.pattern))
     w_max = max(w for w in hist.counts if hist.counts[w] > 0)
-    return math.log2(total_masks(n, len(x))) - math.log2(w_max)
+    return math.log2(mu) - math.log2(w_max)
 
 
 def entropy_report(x: str, n: int, *, guard: int | None = None) -> EntropyReport:
     """Shannon, Renyi-2 and min-entropy of the exact posterior."""
+    hist = exact_histogram(x, n, guard=guard)
     return EntropyReport(
         pattern=x,
         n=n,
-        shannon_bits=shannon_entropy(x, n, guard=guard),
+        shannon_bits=_shannon_bits(hist),
         renyi2_bits=renyi2_entropy(x, n),
-        min_entropy_bits=min_entropy(x, n, guard=guard),
+        min_entropy_bits=_min_entropy_bits(hist),
         mode="exact",
     )
 
@@ -111,16 +119,19 @@ def moment_entropy_estimate(moments: MomentSet, normalizer: int) -> EntropyEstim
     with remainder magnitude at most (5/3) * mu4 / E^3 in natural-log units.
     Both the core term and the bound are divided by E * ln 2 on the way to
     bits, applying the posterior normalization of the module docstring.
+    V / E^2, mu3 / E^3 and mu4 / E^4 are exact ratios rounded once each, so
+    moments beyond the float range still give finite values.
     """
-    mean = float(moments.mean)
-    if mean <= 0.0:
+    mean = Fraction(moments.mean)
+    if mean <= 0:
         raise ValueError("mean must be positive")
-    var = float(moments.central[2])
-    mu3 = float(moments.central[3])
-    mu4 = float(moments.central[4])
-    core_nat = mean * math.log(mean) + var / (2.0 * mean) - mu3 / (6.0 * mean * mean)
-    estimate = math.log2(normalizer) - core_nat / (mean * _LN2)
-    bound = (5.0 / 3.0) * mu4 / (mean**4 * _LN2)
+    var_ratio, mu3_ratio, mu4_ratio = (
+        float(Fraction(moments.central[j]) / mean**j) for j in (2, 3, 4)
+    )
+    log_mean = math.log(mean.numerator) - math.log(mean.denominator)
+    core_per_mean = log_mean + var_ratio / 2.0 - mu3_ratio / 6.0
+    estimate = math.log2(normalizer) - core_per_mean / _LN2
+    bound = (5.0 / 3.0) * mu4_ratio / _LN2
     return EntropyEstimate(
         estimate_bits=estimate,
         error_bound_bits=bound,

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import core
 from .entropy import shannon_entropy
-from .moments import interleaving_matrix, kappa_max, kappa_squared
+from .moments import interleaving_matrix, kappa_max
 
 # float entropies for orbit-mates agree to rounding error; anything closer
 # than this relative tolerance counts as a tie
@@ -92,13 +92,13 @@ def alternating_patterns(m: int) -> list[str]:
     return sorted({a, core.complement(a)})
 
 
-def _kappa_extremes(m: int):
-    """(max, max witnesses, min, min witnesses) of kappa2 over all 2^m patterns.
+def kappa_blocks(m: int):
+    """Yield (patterns, kappa2) int64 array blocks over all 2^m patterns.
 
-    With symbols b in {0, 1} and M symmetric, [b_r = b_s] expands to
-    1 - b_r - b_s + 2 b_r b_s, so kappa2(b) = sum(M) - 2 b.rowsum(M) + 2 bMb.
-    The scan evaluates that form over blocks of patterns and keeps only the
-    running extremes; witnesses come out in lexicographic order.
+    Patterns are integer values in increasing (lexicographic) order.  With
+    symbols b in {0, 1} and M symmetric, [b_r = b_s] expands to
+    1 - b_r - b_s + 2 b_r b_s, so kappa2(b) = sum(M) - 2 b.rowsum(M) + 2 bMb,
+    evaluated one block at a time from a single interleaving matrix.
     """
     if m < 1:
         raise ValueError("pattern length must be >= 1")
@@ -112,13 +112,19 @@ def _kappa_extremes(m: int):
     rowsum = mat.sum(axis=1)
     shifts = np.arange(m - 1, -1, -1)
     step = min(1 << m, _KAPPA_BLOCK)
-    best_max = best_min = None
-    wits_max: list[int] = []
-    wits_min: list[int] = []
     for lo in range(0, 1 << m, step):
         v = np.arange(lo, lo + step)
         b = (v[:, None] >> shifts) & 1
-        k = total - 2 * (b @ rowsum) + 2 * ((b @ mat) * b).sum(axis=1)
+        yield v, total - 2 * (b @ rowsum) + 2 * ((b @ mat) * b).sum(axis=1)
+
+
+def _kappa_extremes(m: int):
+    """(max, max witnesses, min, min witnesses) of kappa2 over all 2^m
+    patterns, keeping running extremes; witnesses are in lexicographic order."""
+    best_max = best_min = None
+    wits_max: list[int] = []
+    wits_min: list[int] = []
+    for v, k in kappa_blocks(m):
         if best_max is None or k.max() > best_max:
             best_max, wits_max = int(k.max()), []
         if best_min is None or k.min() < best_min:
@@ -195,9 +201,9 @@ def ordering_table(
     if n < m:
         raise ValueError(f"text length {n} shorter than pattern length {m}")
     core.check_guard(n, guard)
-    entropies = dict(_entropy_rows(n, m, guard))
+    kappas = [k for _, block in kappa_blocks(m) for k in block.tolist()]
     rows = sorted(
-        ((x, kappa_squared(x), entropies[x]) for x in core.all_bitstrings(m)),
+        ((x, kappa, h) for (x, h), kappa in zip(_entropy_rows(n, m, guard), kappas)),
         key=lambda row: (-row[1], row[0]),
     )
     return OrderingTable(n=n, m=m, rows=rows, violations=_ordering_violations(rows))

@@ -33,6 +33,11 @@ def test_kappa_all(capsys):
     code, out, _ = run(capsys, "kappa", "--all", "2")
     assert code == 0
     assert out.splitlines() == ["pattern,kappa2", "00,6", "01,4", "10,4", "11,6"]
+    code, out, _ = run(capsys, "kappa", "--all", "7")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert code == 0 and len(rows) == 128
+    assert rows == [[format(v, "07b"), str(kappa_squared(format(v, "07b")))]
+                    for v in range(128)]
 
 
 def test_kappa_usage_errors(capsys):
@@ -97,6 +102,11 @@ def test_entropy_modes(capsys):
     assert code == 0  # no guard on the moment path
     code, _, err = run(capsys, "entropy", "01", "64", "--mode", "exact")
     assert code == 3 and "capacity" in err
+    # the order-2 tensor of a 60-bit pattern stays within the moment bound
+    wide = "011010011100101101000111010110010011101100010110100111001010"
+    code, out, err = run(capsys, "entropy", wide, "1000", "--mode", "renyi2")
+    assert code == 0, err
+    assert out.startswith(f"pattern,n,R\n{wide},1000,")
 
 
 def test_full_precision_flag(capsys):
@@ -238,11 +248,16 @@ def test_posterior_output(capsys):
 
 
 def test_capacity_exit(capsys):
+    wide = "011010011100101101000111010110010011101100010110100111001010"
     for argv, bound in [
         (["posterior", "0", "33"], "30"),
         (["hist", "01", "63", "--guard", "100"], "62"),  # int64, whatever the guard
         (["extremal", "--criterion", "kappa-min", "31"], "30"),
         (["extremal", "--criterion", "kappa-max", "31"], "30"),
+        (["kappa", "--all", "31"], "30"),
+        # order-4 moment tensors of a 60-bit pattern: 240 steps over 61^4 cells
+        (["moments", wide, "1000", "--r", "4"], "134217728"),
+        (["entropy", wide, "1000", "--mode", "estimate"], "134217728"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 3 and err.startswith("capacity error:")

@@ -160,3 +160,11 @@ def test_estimate_from_asymptotic_moments():
     exact_est = moment_entropy_estimate(exact_moment_set(x, n), total_masks(n, 2))
     assert est.error_bound_bits >= 0
     assert abs(est.estimate_bits - exact_est.estimate_bits) < 0.2
+    # a 30-bit pattern at n = 10^6: mu4 near 10^546 and mean^4 near 10^554
+    # overflow a float, their ratio does not
+    x, n = "011010011100101101000111010110", 10**6
+    ms = gaussian_limit_moments(n, 30, kappa_squared(x))
+    est = moment_entropy_estimate(ms, total_masks(n, 30))
+    assert math.isfinite(est.estimate_bits) and math.isfinite(est.error_bound_bits)
+    assert 0 < est.error_bound_bits < 1e-6
+    assert n - 1 < est.estimate_bits < n  # the posterior spans under 2^n texts

@@ -17,7 +17,7 @@ from delentropy import (
     raw_moments,
     variance_coefficient,
 )
-from delentropy.core import DegenerateDistributionError
+from delentropy.core import CapacityError, DegenerateDistributionError
 from delentropy.moments import MomentSet, diagnostics_from_moments
 
 import oracles
@@ -39,6 +39,16 @@ def test_exact_moments_match_enumeration():
     for x in ("0", "1", "01", "10", "00", "010", "011", "000"):
         for n in range(len(x), 9):
             assert raw_moments(x, n, 4) == oracles.brute_raw_moments(x, n, 4)
+    # past n = r * m = 12 the order-4 tensor has vanished and only the
+    # binomial weights still grow with n
+    for x in ("".join(p) for p in itertools.product("01", repeat=3)):
+        for n in range(9, 14):
+            hist = oracles.vector_histogram(x, n)
+            want = [
+                Fraction(sum(c * w**r for w, c in hist.items()), 1 << n)
+                for r in range(1, 5)
+            ]
+            assert raw_moments(x, n, 4) == want
 
 
 def test_exact_mean_closed_form():
@@ -46,6 +56,22 @@ def test_exact_mean_closed_form():
         for x in ("".join(p) for p in itertools.product("01", repeat=m)):
             for n in range(m, 13):
                 assert exact_moment(x, n, 1) == Fraction(math.comb(n, m), 1 << m)
+            for n in (50, 200):
+                assert raw_moments(x, n, 4)[0] == Fraction(math.comb(n, m), 1 << m)
+
+
+def test_second_moment_newton_coefficients():
+    # E[W^2](n) = sum_k c_k C(n, k) / 2^k, c_k counting pairs of embeddings
+    # that cover k positions: disjoint pairs give c_2m = C(2m, m), pairs
+    # sharing one position with equal symbols give c_(2m-1) = kappa2(x)
+    for m in range(1, 7):
+        for x in ("".join(p) for p in itertools.product("01", repeat=m)):
+            values = [0] * m + [raw_moments(x, n, 2)[1] for n in range(m, 2 * m + 1)]
+            for k, want in ((2 * m - 1, kappa_squared(x)), (2 * m, math.comb(2 * m, m))):
+                diff = sum(
+                    (-1) ** (k - i) * math.comb(k, i) * values[i] for i in range(k + 1)
+                )
+                assert diff * (1 << k) == want, (x, k)
 
 
 def test_moment_order_contract():
@@ -54,6 +80,9 @@ def test_moment_order_contract():
             exact_moment("01", 4, bad)
     with pytest.raises(ValueError):
         exact_moment("01", 1, 2)  # n < m
+    # 240 steps over 61^4 cells is beyond the cell-step bound
+    with pytest.raises(CapacityError, match="cell-steps"):
+        raw_moments("01" * 30, 1000, 4)
 
 
 def test_exact_moment_set_consistency():
@@ -162,7 +191,12 @@ def test_gaussian_limit_moments():
     assert ms.provenance == "asymptotic"
     assert ms.mean == pytest.approx(1250.0)
     assert ms.central[3] == 0.0
-    assert ms.central[4] == pytest.approx(3.0 * ms.central[2] ** 2)
+    assert ms.central[4] == 3 * Fraction(ms.central[2]) ** 2
+    # at n = 10^6 a 30-bit variance fits a float but its square does not
+    big = gaussian_limit_moments(10**6, 30, kappa_max(30))
+    assert math.isfinite(big.central[2])
+    assert big.central[4] == 3 * Fraction(big.central[2]) ** 2
+    assert big.central[4] > 1e308
 
 
 # ---------------------------------------------------------------------------
