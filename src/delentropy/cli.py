@@ -51,7 +51,8 @@ def _jval(value, full: bool):
 def _render_csv(header, rows, footers=(), full=False) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    if header is not None:
+        writer.writerow(header)
     for row in rows:
         writer.writerow([_fmt(v, full) for v in row])
     for line in footers:
@@ -75,8 +76,20 @@ def _render(args, header, rows, footers=(), json_objs=None) -> str:
 
 
 def _write(args, text: str, filename: str | None = None) -> None:
+    _write_chunks(args, [text], filename)
+
+
+def _write_chunks(args, chunks, filename: str | None = None) -> None:
+    """Write the text chunks in order to stdout or to --out, one at a time.
+
+    An error raised while producing the first chunk surfaces before any
+    output, so a refused command leaves no partial file behind.
+    """
+    chunks = iter(chunks)
+    first = next(chunks, "")
     if args.out is None:
-        sys.stdout.write(text)
+        sys.stdout.write(first)
+        sys.stdout.writelines(chunks)
         return
     dest = Path(args.out)
     if filename is not None:
@@ -84,7 +97,9 @@ def _write(args, text: str, filename: str | None = None) -> None:
         dest = dest / filename
     else:
         dest.parent.mkdir(parents=True, exist_ok=True)
-    dest.write_text(text)
+    with dest.open("w") as fh:
+        fh.write(first)
+        fh.writelines(chunks)
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -108,14 +123,9 @@ def _cmd_kappa(args) -> int:
     if args.all is not None:
         if args.decomposition:
             raise ValueError("--decomposition needs a single pattern")
-        rows = [
-            (format(v, f"0{args.all}b"), k)
-            for vs, ks in extremal.kappa_blocks(args.all)
-            for v, k in zip(vs.tolist(), ks.tolist())
-        ]
-    else:
-        x = core.validate_pattern(args.pattern)
-        rows = [(x, moments.kappa_squared(x))]
+        _write_chunks(args, _kappa_all_chunks(args))
+        return EXIT_OK
+    x = core.validate_pattern(args.pattern)
     if args.decomposition:
         dec = moments.kappa_decomposition(x)
         if args.format == "json":
@@ -142,8 +152,21 @@ def _cmd_kappa(args) -> int:
             buf.write(f"# kappa2={dec.kappa_squared}\n")
             _write(args, buf.getvalue())
         return EXIT_OK
-    _write(args, _render(args, ["pattern", "kappa2"], rows))
+    _write(args, _render(args, ["pattern", "kappa2"], [(x, moments.kappa_squared(x))]))
     return EXIT_OK
+
+
+def _kappa_all_chunks(args):
+    """The rows of ``kappa --all M``, rendered one kappa2 block at a time;
+    the CSV header goes out with the first block."""
+    header = ["pattern", "kappa2"]
+    fmt = f"0{args.all}b"
+    for i, (vs, ks) in enumerate(extremal.kappa_blocks(args.all)):
+        rows = [(format(v, fmt), k) for v, k in zip(vs.tolist(), ks.tolist())]
+        if args.format == "csv":
+            yield _render_csv(None if i else header, rows)
+        else:
+            yield _render_json_lines(dict(zip(header, row)) for row in rows)
 
 
 def _cmd_entropy(args) -> int:

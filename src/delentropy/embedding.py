@@ -60,8 +60,7 @@ def _pattern_bits(x: str) -> np.ndarray:
 
 def _extend(dp: np.ndarray, bits: np.ndarray, xb: np.ndarray) -> None:
     """Append symbol bits[j] to text j of the int64 (m+1, N) prefix-count
-    table dp, in place; the product is formed from the old rows first.  The
-    moment tensor passes an exact-int object dp and one scalar symbol."""
+    table dp, in place; the product is formed from the old rows first."""
     dp[1:] += (bits == xb[:, None]) * dp[:-1]
 
 

@@ -255,9 +255,10 @@ def test_capacity_exit(capsys):
         (["extremal", "--criterion", "kappa-min", "31"], "30"),
         (["extremal", "--criterion", "kappa-max", "31"], "30"),
         (["kappa", "--all", "31"], "30"),
-        # order-4 moment tensors of a 60-bit pattern: 240 steps over 61^4 cells
+        # order-4 moment tensors of a 60-bit pattern: 240 steps over C(64,4) cells
         (["moments", wide, "1000", "--r", "4"], "134217728"),
         (["entropy", wide, "1000", "--mode", "estimate"], "134217728"),
+        (["gaussian", wide, "1000"], "134217728"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 3 and err.startswith("capacity error:")

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delentropy import (
     asymptotic_mean,
@@ -43,12 +45,32 @@ def test_exact_moments_match_enumeration():
     # binomial weights still grow with n
     for x in ("".join(p) for p in itertools.product("01", repeat=3)):
         for n in range(9, 14):
-            hist = oracles.vector_histogram(x, n)
-            want = [
-                Fraction(sum(c * w**r for w, c in hist.items()), 1 << n)
-                for r in range(1, 5)
-            ]
-            assert raw_moments(x, n, 4) == want
+            assert raw_moments(x, n, 4) == _power_sums(x, n, 4)
+    # sorted-tuple tensors with repeated and distinct indices at m = 4, 5
+    for m in (4, 5):
+        for x in ("".join(p) for p in itertools.product("01", repeat=m)):
+            for n in range(m, 13):
+                assert raw_moments(x, n, 4) == _power_sums(x, n, 4), (x, n)
+
+
+def _power_sums(x, n, rmax):
+    """E[W^r] for r = 1..rmax from the histogram of all 2^n texts."""
+    hist = oracles.vector_histogram(x, n)
+    return [
+        Fraction(sum(c * w**r for w, c in hist.items()), 1 << n)
+        for r in range(1, rmax + 1)
+    ]
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.text(alphabet="01", min_size=1, max_size=7).flatmap(
+        lambda x: st.tuples(st.just(x), st.integers(len(x), 13))
+    )
+)
+def test_exact_moments_differential(case):
+    x, n = case
+    assert raw_moments(x, n, 4) == _power_sums(x, n, 4)
 
 
 def test_exact_mean_closed_form():
@@ -58,6 +80,11 @@ def test_exact_mean_closed_form():
                 assert exact_moment(x, n, 1) == Fraction(math.comb(n, m), 1 << m)
             for n in (50, 200):
                 assert raw_moments(x, n, 4)[0] == Fraction(math.comb(n, m), 1 << m)
+    # 128 steps over C(36, 4) sorted cells, within the cell-step bound
+    x = "01" * 16
+    four = raw_moments(x, 200, 4)
+    assert four[0] == Fraction(math.comb(200, 32), 1 << 32)
+    assert four[1] == raw_moments(x, 200, 2)[1]
 
 
 def test_second_moment_newton_coefficients():
@@ -80,7 +107,7 @@ def test_moment_order_contract():
             exact_moment("01", 4, bad)
     with pytest.raises(ValueError):
         exact_moment("01", 1, 2)  # n < m
-    # 240 steps over 61^4 cells is beyond the cell-step bound
+    # 240 steps over C(64,4) cells is beyond the cell-step bound
     with pytest.raises(CapacityError, match="cell-steps"):
         raw_moments("01" * 30, 1000, 4)
 
@@ -223,6 +250,12 @@ def test_gaussian_diagnostics_from_histogram_moments():
     direct = gaussian_diagnostics("01", 8)
     assert via_hist.skewness == pytest.approx(direct.skewness)
     assert via_hist.excess_kurtosis == pytest.approx(direct.excess_kurtosis)
+    # a 30-bit limit at n = 10^6: variance^1.5 and mu4 pass 1.8e308
+    wide = "011010011100101101000111010110"
+    limit = gaussian_limit_moments(10**6, 30, kappa_squared(wide))
+    diag = gaussian_diagnostics(wide, 10**6, moments=limit)
+    assert math.isfinite(diag.skewness) and abs(diag.skewness) < 1e-12
+    assert math.isfinite(diag.excess_kurtosis) and abs(diag.excess_kurtosis) < 1e-12
 
 
 def test_gaussian_diagnostics_degenerate():
