@@ -48,13 +48,20 @@ def _jval(value, full: bool):
     return value
 
 
+_is_float = float.__instancecheck__
+
+
 def _render_csv(header, rows, footers=(), full=False) -> str:
+    """CSV text of the rows; only float cells go through ``_fmt``, since
+    csv writes ints and strs as ``str`` does (no cell is None)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if header is not None:
         writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v, full) for v in row])
+    writer.writerows(
+        [_fmt(v, full) for v in row] if any(map(_is_float, row)) else row
+        for row in rows
+    )
     for line in footers:
         buf.write(f"# {line}\n")
     return buf.getvalue()
@@ -157,12 +164,18 @@ def _cmd_kappa(args) -> int:
 
 
 def _kappa_all_chunks(args):
-    """The rows of ``kappa --all M``, rendered one kappa2 block at a time;
-    the CSV header goes out with the first block."""
-    header = ["pattern", "kappa2"]
-    fmt = f"0{args.all}b"
-    for i, (vs, ks) in enumerate(extremal.kappa_blocks(args.all)):
-        rows = [(format(v, fmt), k) for v, k in zip(vs.tolist(), ks.tolist())]
+    """The rows of ``kappa --all M``, rendered one kappa2 block at a time."""
+    blocks = (
+        list(zip(embedding.bit_strings(vs, args.all), ks.tolist()))
+        for vs, ks in extremal.kappa_blocks(args.all)
+    )
+    return _row_chunks(args, ["pattern", "kappa2"], blocks)
+
+
+def _row_chunks(args, header, blocks):
+    """Render each block of rows as one chunk; the CSV header goes out with
+    the first block."""
+    for i, rows in enumerate(blocks):
         if args.format == "csv":
             yield _render_csv(None if i else header, rows)
         else:
@@ -326,18 +339,21 @@ def _cmd_gaussian(args) -> int:
 
 def _cmd_posterior(args) -> int:
     x = core.validate_pattern(args.pattern)
-    dist = embedding.posterior(x, args.n, guard=args.guard, workers=args.workers)
-    rows = list(dist.entries.items())
-    if args.format == "csv":
-        payload = _render_csv(
-            ["y", "omega"], rows, [f"mu={dist.normalizer}"], args.full_precision
-        )
-    else:
-        objs = [{"y": y, "omega": w} for y, w in rows]
-        objs.append({"mu": dist.normalizer})
-        payload = _render_json_lines(objs, args.full_precision)
-    _write(args, payload)
+    _write_chunks(args, _posterior_chunks(args, x))
     return EXIT_OK
+
+
+def _posterior_chunks(args, x):
+    """The posterior rows rendered one ``uncertainty_blocks`` block at a
+    time, then the normalizer as the ``# mu=`` footer or a JSON ``mu``
+    line; the CSV header goes out with the first block."""
+    blocks = embedding.uncertainty_blocks(x, args.n, guard=args.guard)
+    yield from _row_chunks(args, ["y", "omega"], (list(zip(*b)) for b in blocks))
+    mu = embedding.total_masks(args.n, len(x))
+    if args.format == "csv":
+        yield _render_csv(None, (), [f"mu={mu}"])
+    else:
+        yield _render_json_lines([{"mu": mu}])
 
 
 # ---------------------------------------------------------------------------

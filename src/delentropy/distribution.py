@@ -26,8 +26,9 @@ from .moments import MomentSet
 # PCG64(seed).jumped(j), so results depend on (seed, sample_size) alone.
 _BLOCK = 8192
 
-# Pairs of half-text classes whose weights exact_histogram forms at once;
-# bounds its int64 temporaries to a few MiB.
+# Pairs of half-text classes whose weights exact_histogram forms at once,
+# and the fewest pending entries _tally merges; bounds their int64
+# temporaries to a few MiB.
 _PAIRS = 1 << 18
 
 
@@ -71,39 +72,72 @@ def exact_histogram(x: str, n: int, *, guard: int | None = None) -> WeightHistog
     suf, suf_mult = np.unique(
         prefix_table(core.reverse(x), n - h)[::-1], axis=1, return_counts=True
     )
-    counts: dict[int, int] = {}
     step = max(1, _PAIRS // suf.shape[1])
-    for lo in range(0, pre.shape[1], step):
-        weights = (pre[:, lo : lo + step].T @ suf).ravel()
-        mult = np.multiply.outer(pre_mult[lo : lo + step], suf_mult).ravel()
-        order = np.argsort(weights)
-        weights, mult = weights[order], mult[order]
-        starts = np.flatnonzero(np.r_[True, weights[1:] != weights[:-1]])
-        sums = np.add.reduceat(mult, starts)
-        for w, c in zip(weights[starts].tolist(), sums.tolist()):
-            counts[w] = counts.get(w, 0) + c
+    counts = _tally(
+        _merge(
+            (pre[:, lo : lo + step].T @ suf).ravel(),
+            np.multiply.outer(pre_mult[lo : lo + step], suf_mult).ravel(),
+        )
+        for lo in range(0, pre.shape[1], step)
+    )
     return WeightHistogram(pattern=x, text_length=n, counts=counts, mode="exact")
 
 
-def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> dict[int, int]:
-    """Tally weights for one PRNG stream's slice of the sample index space."""
+def _merge(weights: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct weights, ascending, with their summed multiplicities:
+    argsort + np.add.reduceat."""
+    order = np.argsort(weights)
+    weights, mult = weights[order], mult[order]
+    starts = np.flatnonzero(np.r_[True, weights[1:] != weights[:-1]])
+    return weights[starts], np.add.reduceat(mult, starts)
+
+
+def _tally(blocks) -> dict[int, int]:
+    """Exact {weight: multiplicity} summed over (weights, multiplicities)
+    blocks, each already reduced to distinct weights (``np.unique`` or
+    ``_merge``).
+
+    Weights are int64, or object arrays of Python ints; multiplicities are
+    int64.  Pending blocks are concatenated and merged once they hold at
+    least _PAIRS entries and twice what the last merge kept, so memory
+    stays O(distinct weights + _PAIRS) and each entry is re-sorted O(1)
+    times, amortized.
+    """
+    pending, size, limit = [], 0, _PAIRS
+    for block in blocks:
+        pending.append(block)
+        size += len(block[0])
+        if size >= limit:
+            pending = [_merge(*map(np.concatenate, zip(*pending)))]
+            size = len(pending[0][0])
+            limit = max(_PAIRS, 2 * size)
+    weights, mult = _merge(*map(np.concatenate, zip(*pending)))
+    return dict(zip(weights.tolist(), mult.tolist()))
+
+
+def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarray:
+    """Weights of one PRNG stream's slice of the sample index space.
+
+    The texts are the rows of ``size`` x n uniform bits drawn from
+    PCG64(seed).jumped(stream); their weights come from the int64 prefix
+    table stepped by ``_extend``, or, when C(n, m) >= 2^62 could overflow
+    int64, from ``count_embeddings`` per text as an object array of exact
+    ints (same draws).
+    """
     rng = np.random.Generator(np.random.PCG64(seed).jumped(stream))
     bits = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
     m = len(x)
     if core.binomial(n, m) >= 2**62:
-        # counts may overflow int64: same draws, exact big-int count per text
-        out: dict[int, int] = {}
-        for row in bits:
-            w = count_embeddings(x, "".join(map(str, row.tolist())))
-            out[w] = out.get(w, 0) + 1
-        return out
+        return np.array(
+            [count_embeddings(x, "".join(map(str, row.tolist()))) for row in bits],
+            dtype=object,
+        )
     xb = _pattern_bits(x)
     dp = np.zeros((m + 1, size), dtype=np.int64)
     dp[0] = 1
     for col in np.ascontiguousarray(bits.T):
         _extend(dp, col, xb)
-    values, tallies = np.unique(dp[m], return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, tallies)}
+    return dp[m]
 
 
 def sample_histogram(
@@ -117,9 +151,11 @@ def sample_histogram(
     """Histogram of weights over sample_size uniform random texts.
 
     Reproducible: the (seed, sample_size) pair fully determines the result
-    (see the block-to-stream rule above).  ``workers`` is accepted for
-    compatibility and ignored.  There is no enumeration guard, so this
-    extends histograms past it.
+    (see the block-to-stream rule above).  Each block's weights from
+    ``_count_block`` are reduced by ``np.unique`` and the blocks are summed
+    by ``_tally``, so no more than one block of per-sample weights is held
+    at a time.  ``workers`` is accepted for compatibility and ignored.
+    There is no enumeration guard, so this extends histograms past it.
     """
     core.validate_pattern(x)
     m = len(x)
@@ -127,11 +163,13 @@ def sample_histogram(
         raise ValueError(f"text length {n} shorter than pattern length {m}")
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
-    counts: dict[int, int] = {}
-    for j in range((sample_size + _BLOCK - 1) // _BLOCK):
-        size = min(_BLOCK, sample_size - j * _BLOCK)
-        for w, c in _count_block(x, n, seed, j, size).items():
-            counts[w] = counts.get(w, 0) + c
+    counts = _tally(
+        np.unique(
+            _count_block(x, n, seed, j, min(_BLOCK, sample_size - j * _BLOCK)),
+            return_counts=True,
+        )
+        for j in range((sample_size + _BLOCK - 1) // _BLOCK)
+    )
     return WeightHistogram(
         pattern=x,
         text_length=n,

@@ -16,6 +16,17 @@ import numpy as np
 
 from . import core
 
+# Posterior rows are formed this many texts at a time, which bounds the
+# character block of bit_strings to (n + 1) * 16 KiB.
+_ROWS = 1 << 14
+
+# Peak bytes a posterior's prefix table may take.  prefix_table(x, n) holds
+# (m + 1) * 2^n int64 cells; at its last doubling step np.repeat and
+# _extend's temporaries bring the peak to about 17 * (m + 1) * 2^n bytes
+# (2.12x the table, measured with tracemalloc for m = 1..16).  1 GiB admits
+# n = 20 for every m <= 20, and n = 24 for m = 1.
+_TABLE_BYTES = 1 << 30
+
 
 @dataclass
 class WeightDistribution:
@@ -40,16 +51,18 @@ def count_embeddings(x: str, y: str) -> int:
     """Number of ways x occurs in y as a subsequence (0 if it does not).
 
     Standard prefix dynamic program: dp[i] counts embeddings of x[:i] in the
-    scanned part of y, updated in place per text symbol.
+    scanned part of y, updated in place per text symbol.  The pattern rows
+    holding each symbol are listed once per call, in descending order, so a
+    text symbol touches only its own rows.  Counts are exact Python ints.
     """
     core.validate_pattern(x)
     core.validate_text(y)
     m = len(x)
+    rows = {c: [i for i in range(m, 0, -1) if x[i - 1] == c] for c in "01"}
     dp = [1] + [0] * m
     for c in y:
-        for i in range(m, 0, -1):
-            if x[i - 1] == c:
-                dp[i] += dp[i - 1]
+        for i in rows[c]:
+            dp[i] += dp[i - 1]
     return dp[m]
 
 
@@ -89,32 +102,71 @@ def total_masks(n: int, m: int) -> int:
     return core.binomial(n, m) * (1 << (n - m))
 
 
-def uncertainty_set(
-    x: str, n: int, *, guard: int | None = None, workers: int = 1
-) -> Iterator[tuple[str, int]]:
-    """Yield (text, weight) for every length-n text with weight >= 1.
+def bit_strings(values: np.ndarray, width: int) -> list[str]:
+    """The width-bit binary strings of nonnegative int64 values, most
+    significant bit first.
 
-    Texts come out in lexicographic order, each exactly once.  The weights
-    are the last row of ``prefix_table(x, n)``, built in O(2^n * m).
-    ``workers`` is accepted for compatibility and ignored.
+    The digits are written one column at a time into a uint8 character
+    matrix with a newline column, which is decoded once and split, so no
+    (rows, width) int64 temporary and no per-value format call is needed.
+    """
+    chars = np.full((len(values), width + 1), ord("\n"), dtype=np.uint8)
+    for j in range(width):
+        chars[:, j] = ((values >> (width - 1 - j)) & 1) + ord("0")
+    return chars.tobytes().decode("ascii").splitlines()
+
+
+def uncertainty_blocks(
+    x: str, n: int, *, guard: int | None = None
+) -> Iterator[tuple[list[str], list[int]]]:
+    """Yield the rows of ``uncertainty_set`` as (texts, weights) list pairs
+    of at most ``_ROWS`` rows each, in the same order.
+
+    The weights are the last row of ``prefix_table(x, n)``, built in
+    O(2^n * m) and refused with CapacityError when its peak bytes would
+    pass ``_TABLE_BYTES``; only that row is kept, and each block's text
+    strings come from ``bit_strings``.
     """
     core.validate_pattern(x)
     m = len(x)
     if n < m:
         raise ValueError(f"text length {n} shorter than pattern length {m}")
     core.check_guard(n, guard)
-    weights = prefix_table(x, n)[m]
+    need = 17 * (m + 1) << n
+    if need > _TABLE_BYTES:
+        raise core.CapacityError(
+            f"posterior over 2^{n} texts refused: its prefix-count table "
+            f"needs about {need} bytes ({need / 2**30:.1f} GiB) at peak, "
+            f"above the bound of {_TABLE_BYTES} bytes"
+        )
+    weights = prefix_table(x, n)[m].copy()
     texts = np.flatnonzero(weights)
-    weights = weights[texts].tolist()
-    for v, w in zip(texts.tolist(), weights):
-        yield format(v, f"0{n}b"), w
+    for lo in range(0, len(texts), _ROWS):
+        block = texts[lo : lo + _ROWS]
+        yield bit_strings(block, n), weights[block].tolist()
+
+
+def uncertainty_set(
+    x: str, n: int, *, guard: int | None = None, workers: int = 1
+) -> Iterator[tuple[str, int]]:
+    """Yield (text, weight) for every length-n text with weight >= 1.
+
+    Texts come out in lexicographic order, each exactly once; the rows
+    come in blocks from ``uncertainty_blocks``, so after the prefix table
+    only its weight row and one block are held.  ``workers`` is accepted
+    for compatibility and ignored.
+    """
+    for texts, weights in uncertainty_blocks(x, n, guard=guard):
+        yield from zip(texts, weights)
 
 
 def posterior(
     x: str, n: int, *, guard: int | None = None, workers: int = 1
 ) -> WeightDistribution:
     """Exact posterior weight distribution over the compatible texts."""
-    entries = dict(uncertainty_set(x, n, guard=guard))
+    entries: dict[str, int] = {}
+    for texts, weights in uncertainty_blocks(x, n, guard=guard):
+        entries.update(zip(texts, weights))
     return WeightDistribution(
         pattern=x,
         text_length=n,

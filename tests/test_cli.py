@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from delentropy import cli, kappa_max, kappa_squared
+from delentropy import cli, kappa_max, kappa_squared, posterior
 from delentropy.cli import _parse_n_range, main
 
 
@@ -247,10 +247,40 @@ def test_posterior_output(capsys):
     assert out == "y,omega\n00,2\n01,1\n10,1\n# mu=4\n"
 
 
+def test_posterior_streams_entries(tmp_path, capsys):
+    # "0" at n = 16 has 65535 rows: four blocks of the row stream
+    for x, n in (("0", 16), ("0110", 9)):
+        dist = posterior(x, n)
+        want = {
+            "csv": "y,omega\n"
+            + "".join(f"{y},{w}\n" for y, w in dist.entries.items())
+            + f"# mu={dist.normalizer}\n",
+            "json": "".join(
+                json.dumps({"y": y, "omega": w}) + "\n" for y, w in dist.entries.items()
+            )
+            + json.dumps({"mu": dist.normalizer})
+            + "\n",
+        }
+        for fmt, text in want.items():
+            code, out, _ = run(capsys, "posterior", x, str(n), "--format", fmt)
+            assert code == 0 and out == text
+            dest = tmp_path / f"{x}-{fmt}.txt"
+            code, out, _ = run(capsys, "posterior", x, str(n), "--format", fmt,
+                               "--out", str(dest))
+            assert code == 0 and out == "" and dest.read_text() == text
+    # a refusal comes before the first block, so no file is left behind
+    dest = tmp_path / "refused" / "rows.csv"
+    code, _, err = run(capsys, "posterior", "0", "30", "--out", str(dest))
+    assert code == 3 and err.startswith("capacity error:")
+    assert not dest.parent.exists()
+
+
 def test_capacity_exit(capsys):
     wide = "011010011100101101000111010110010011101100010110100111001010"
     for argv, bound in [
         (["posterior", "0", "33"], "30"),
+        # within the n guard, but the prefix table would need about 34 GiB
+        (["posterior", "0", "30"], "36507222016 bytes"),
         (["hist", "01", "63", "--guard", "100"], "62"),  # int64, whatever the guard
         (["extremal", "--criterion", "kappa-min", "31"], "30"),
         (["extremal", "--criterion", "kappa-max", "31"], "30"),

@@ -13,6 +13,7 @@ from delentropy import (
     sample_histogram,
     total_masks,
 )
+from delentropy import distribution
 from delentropy.core import CapacityError
 from delentropy.distribution import histogram_mass_checks
 
@@ -36,6 +37,16 @@ def test_exact_histogram_matches_enumeration():
                 if m < 4 and n < 10:
                     assert want == oracles.brute_histogram(x, n)
                 assert exact_histogram(x, n).counts == want
+
+
+def test_tally_merges_across_chunks(monkeypatch):
+    # a tiny pair budget splits the weights into many chunks and forces the
+    # running merges of the tally; the results must not change
+    sampled = sample_histogram("0110", 20, 3 * 8192 + 77, seed=5).counts
+    monkeypatch.setattr(distribution, "_PAIRS", 64)
+    for x, n in (("01010", 14), ("0110", 13), ("1", 9), ("000", 12)):
+        assert exact_histogram(x, n).counts == oracles.vector_histogram(x, n)
+    assert sample_histogram("0110", 20, 3 * 8192 + 77, seed=5).counts == sampled
 
 
 def test_exact_histogram_mass_identities():
@@ -129,6 +140,7 @@ def _redrawn_histogram(x, n, sample_size, seed):
     "x,n,sample_size,seed",
     [
         ("0110", 20, 8192 + 300, 11),  # int64 kernel, two streams
+        ("0000", 30, 3 * 8192 + 77, 17),  # four streams, few distinct weights
         ("01" * 16 + "0", 66, 40, 3),  # C(66, 33) >= 2^62: big-int fallback
     ],
 )

@@ -1,6 +1,10 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delentropy import count_embeddings, posterior, total_masks, uncertainty_set
 from delentropy.core import CapacityError
@@ -74,6 +78,10 @@ def test_uncertainty_set_size_and_order():
 def test_uncertainty_set_guard():
     with pytest.raises(CapacityError):
         list(uncertainty_set("01", 40))
+    # within the n guard, but the prefix table would need tens of GiB:
+    # refused before anything is allocated, naming the estimate
+    with pytest.raises(CapacityError, match=r"about \d+ bytes .*bound of \d+ bytes"):
+        list(uncertainty_set("01", 30))
     # raising the guard explicitly is allowed
     rows = list(uncertainty_set("01", 12, guard=12))
     assert len(rows) == len(oracles.brute_posterior("01", 12))
@@ -109,3 +117,53 @@ def test_posterior_weights_sum_to_normalizer():
                 dist = posterior(x, n)
                 assert sum(dist.entries.values()) == dist.normalizer
                 assert dist.entries == want
+
+
+def _recurrence_count(x, y):
+    """The prefix recurrence with a compare on every (symbol, row) pair."""
+    dp = [1] + [0] * len(x)
+    for c in y:
+        for i in range(len(x), 0, -1):
+            if x[i - 1] == c:
+                dp[i] += dp[i - 1]
+    return dp[len(x)]
+
+
+def test_count_embeddings_long_texts():
+    rng = random.Random(200)
+    texts = [format(rng.getrandbits(200), "0200b") for _ in range(20)]
+    texts += ["0" * 200, "1" * 200, "01" * 100]
+    for x in ("0", "1", "01", "110", "0110", "00000", "010110", "1" * 12):
+        for y in texts:
+            assert count_embeddings(x, y) == _recurrence_count(x, y)
+
+
+def _oracle_rows(x, n):
+    weights = oracles.counts_all_texts(x, n)
+    return [(format(v, f"0{n}b"), int(weights[v])) for v in np.flatnonzero(weights)]
+
+
+@st.composite
+def _pattern_and_length(draw):
+    x = draw(st.text("01", min_size=1, max_size=6))
+    return x, draw(st.integers(len(x), 14))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(_pattern_and_length(), st.text("01", max_size=14))
+@example(("0110", 4), "0110")  # n = m
+@example(("000000", 14), "0" * 14)  # constant pattern, one text per weight class
+@example(("1", 1), "")
+def test_embedding_differential(case, y):
+    x, n = case
+    want = oracles.counts_all_texts(x, len(y))[int(y, 2) if y else 0]
+    assert count_embeddings(x, y) == want
+    assert list(uncertainty_set(x, n)) == _oracle_rows(x, n)
+
+
+def test_uncertainty_set_spans_blocks():
+    # 2^14 rows per block: these cross three to four block boundaries
+    for x, n in (("0", 16), ("0110", 16), ("11", 15)):
+        assert list(uncertainty_set(x, n)) == _oracle_rows(x, n)
+        dist = posterior(x, n)
+        assert list(dist.entries.items()) == _oracle_rows(x, n)
