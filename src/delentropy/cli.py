@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from importlib import resources
@@ -174,12 +175,27 @@ def _kappa_all_chunks(args):
 
 def _row_chunks(args, header, blocks):
     """Render each block of rows as one chunk; the CSV header goes out with
-    the first block."""
-    for i, rows in enumerate(blocks):
-        if args.format == "csv":
-            yield _render_csv(None if i else header, rows)
-        else:
-            yield _render_json_lines(dict(zip(header, row)) for row in rows)
+    the first block.
+
+    The cells are bit strings and ints, which neither ``csv`` nor
+    ``json.dumps`` quotes or escapes, so each line is one ``str.format`` of
+    a template (JSON quotes the string columns): the bytes of ``csv.writer``
+    and of ``json.dumps(dict(zip(header, row)))`` without a writer, a dict
+    or an encoder call per row.
+    """
+    template = None
+    for rows in blocks:
+        if template is None:
+            if args.format == "csv":
+                yield ",".join(header) + "\n"
+                template = ",".join(["{}"] * len(header)) + "\n"
+            else:
+                cells = ", ".join(
+                    f'"{h}": "{{}}"' if isinstance(v, str) else f'"{h}": {{}}'
+                    for h, v in zip(header, rows[0])
+                )
+                template = "{{" + cells + "}}\n"
+        yield "".join(itertools.starmap(template.format, rows))
 
 
 def _cmd_entropy(args) -> int:

@@ -24,8 +24,16 @@ _ROWS = 1 << 14
 # (m + 1) * 2^n int64 cells; at its last doubling step np.repeat and
 # _extend's temporaries bring the peak to about 17 * (m + 1) * 2^n bytes
 # (2.12x the table, measured with tracemalloc for m = 1..16).  1 GiB admits
-# n = 20 for every m <= 20, and n = 24 for m = 1.
+# n = 20 for every m <= 20, and n = 24 for m = 1; with the dict of
+# ``posterior`` counted, n = 22 for m = 1.
 _TABLE_BYTES = 1 << 30
+
+# Bytes per row of the dict ``posterior`` returns, on top of the n
+# characters of its text key: the str and int objects and the dict slot,
+# plus the weight row and text indices held while it fills.  The peak is
+# 95-112 + n bytes per row, measured with tracemalloc for m = 1..5 at
+# n = 16..20.
+_DICT_ROW_BYTES = 120
 
 
 @dataclass
@@ -116,6 +124,39 @@ def bit_strings(values: np.ndarray, width: int) -> list[str]:
     return chars.tobytes().decode("ascii").splitlines()
 
 
+def _admit(x: str, n: int, guard: int | None, with_dict: bool) -> int:
+    """Validate a posterior of x over 2^n texts and return m.
+
+    Refuses it with CapacityError, naming the estimate and the bound, when
+    its estimated peak bytes pass ``_TABLE_BYTES``: the prefix table's, plus
+    with ``with_dict`` those of a dict of ``_support_size(n, m)`` rows.
+    """
+    core.validate_pattern(x)
+    m = len(x)
+    if n < m:
+        raise ValueError(f"text length {n} shorter than pattern length {m}")
+    core.check_guard(n, guard)
+    need = 17 * (m + 1) << n
+    what = "its prefix-count table"
+    if with_dict:
+        rows = _support_size(n, m)
+        need += rows * (n + _DICT_ROW_BYTES)
+        what += f" and a dict of {rows} rows"
+    if need > _TABLE_BYTES:
+        raise core.CapacityError(
+            f"posterior over 2^{n} texts refused: {what} "
+            f"needs about {need} bytes ({need / 2**30:.1f} GiB) at peak, "
+            f"above the bound of {_TABLE_BYTES} bytes"
+        )
+    return m
+
+
+def _support_size(n: int, m: int) -> int:
+    """Number of length-n texts holding a length-m pattern as a subsequence:
+    sum_{i=m}^{n} C(n, i), the same for every binary pattern."""
+    return sum(core.binomial(n, i) for i in range(m, n + 1))
+
+
 def uncertainty_blocks(
     x: str, n: int, *, guard: int | None = None
 ) -> Iterator[tuple[list[str], list[int]]]:
@@ -127,18 +168,7 @@ def uncertainty_blocks(
     pass ``_TABLE_BYTES``; only that row is kept, and each block's text
     strings come from ``bit_strings``.
     """
-    core.validate_pattern(x)
-    m = len(x)
-    if n < m:
-        raise ValueError(f"text length {n} shorter than pattern length {m}")
-    core.check_guard(n, guard)
-    need = 17 * (m + 1) << n
-    if need > _TABLE_BYTES:
-        raise core.CapacityError(
-            f"posterior over 2^{n} texts refused: its prefix-count table "
-            f"needs about {need} bytes ({need / 2**30:.1f} GiB) at peak, "
-            f"above the bound of {_TABLE_BYTES} bytes"
-        )
+    m = _admit(x, n, guard, with_dict=False)
     weights = prefix_table(x, n)[m].copy()
     texts = np.flatnonzero(weights)
     for lo in range(0, len(texts), _ROWS):
@@ -163,7 +193,13 @@ def uncertainty_set(
 def posterior(
     x: str, n: int, *, guard: int | None = None, workers: int = 1
 ) -> WeightDistribution:
-    """Exact posterior weight distribution over the compatible texts."""
+    """Exact posterior weight distribution over the compatible texts.
+
+    The dict holds one row per text of ``_support_size(n, m)``, so its bytes
+    join the prefix table's in the estimate that ``_TABLE_BYTES`` bounds;
+    ``uncertainty_blocks`` streams the same rows without the dict.
+    """
+    _admit(x, n, guard, with_dict=True)
     entries: dict[str, int] = {}
     for texts, weights in uncertainty_blocks(x, n, guard=guard):
         entries.update(zip(texts, weights))

@@ -15,18 +15,20 @@ import numpy as np
 
 from . import core
 from .entropy import shannon_entropy
-from .moments import interleaving_matrix, kappa_max
+from .moments import _interleaving_table, kappa_max
 
 # float entropies for orbit-mates agree to rounding error; anything closer
 # than this relative tolerance counts as a tie
 _TIE_RTOL = 1e-9
 
-# kappa2 <= kappa_max(m) and the quadratic form's terms stay below
-# 2 * kappa_max(m), which fits int64 up to m = 30.
+# The scan's int64 partial sums stay within +-4 * kappa_max(m): sum(M) is
+# kappa_max(m), so each of 2 b.rowsum(M), 2 b'Mb and the cross term
+# 4 l'M_lh h is at most 2 * kappa_max(m).  4 * kappa_max(30) = 7.1e18 < 2^63.
 _KAPPA_M_MAX = 30
 
-# Patterns per block of the kappa2 scan; larger blocks raise peak memory
-# without making the scan faster.
+# Patterns per block of the kappa2 scan, a power of two: a block holds the
+# patterns sharing their high bits and running over all log2(_KAPPA_BLOCK)
+# low bits.  Larger blocks raise peak memory without making the scan faster.
 _KAPPA_BLOCK = 1 << 11
 
 
@@ -97,25 +99,35 @@ def kappa_blocks(m: int):
 
     Patterns are integer values in increasing (lexicographic) order.  With
     symbols b in {0, 1} and M symmetric, [b_r = b_s] expands to
-    1 - b_r - b_s + 2 b_r b_s, so kappa2(b) = sum(M) - 2 b.rowsum(M) + 2 bMb,
-    evaluated one block at a time from a single interleaving matrix.
+    1 - b_r - b_s + 2 b_r b_s, so kappa2(b) = sum(M) - 2 b.rowsum(M) + 2 b'Mb.
+    Splitting b into its high bits h and its k = log2(_KAPPA_BLOCK) low bits
+    l, the terms in l alone are formed once for all l, and a block (one h)
+    adds a scalar in h and the cross term l @ (4 M_lh h): 2^k * k
+    multiply-adds per block instead of 2^k * m^2.
     """
     if m < 1:
         raise ValueError("pattern length must be >= 1")
     if m > _KAPPA_M_MAX:
         raise core.CapacityError(
             f"kappa2 scan over 2^{m} patterns refused: m <= {_KAPPA_M_MAX} "
-            f"keeps 2 * kappa_max(m) within int64"
+            f"keeps 4 * kappa_max(m) within int64"
         )
-    mat = np.array(interleaving_matrix(m), dtype=np.int64)
-    total = int(mat.sum())
-    rowsum = mat.sum(axis=1)
-    shifts = np.arange(m - 1, -1, -1)
-    step = min(1 << m, _KAPPA_BLOCK)
-    for lo in range(0, 1 << m, step):
-        v = np.arange(lo, lo + step)
-        b = (v[:, None] >> shifts) & 1
-        yield v, total - 2 * (b @ rowsum) + 2 * ((b @ mat) * b).sum(axis=1)
+    mat, rowsum, total = _interleaving_table(m)
+    mat = np.array(mat, dtype=np.int64)
+    rowsum = np.array(rowsum, dtype=np.int64)
+    k = min(m, _KAPPA_BLOCK.bit_length() - 1)
+    hi = m - k
+    low = np.arange(1 << k)
+    lbits = (low[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    # base[l] = kappa2 of the pattern with high bits 0 and low bits l
+    quad = ((lbits @ mat[hi:, hi:]) * lbits).sum(axis=1)
+    base = total - 2 * (lbits @ rowsum[hi:]) + 2 * quad
+    mat_hh, rowsum_h, cross = mat[:hi, :hi], rowsum[:hi], 4 * mat[hi:, :hi]
+    shifts = np.arange(hi - 1, -1, -1)
+    for h in range(1 << hi):
+        b = (h >> shifts) & 1
+        scalar = int(b @ (2 * (mat_hh @ b) - 2 * rowsum_h))
+        yield low + (h << k), base + (scalar + lbits @ (cross @ b))
 
 
 def _kappa_extremes(m: int):
@@ -125,12 +137,15 @@ def _kappa_extremes(m: int):
     wits_max: list[int] = []
     wits_min: list[int] = []
     for v, k in kappa_blocks(m):
-        if best_max is None or k.max() > best_max:
-            best_max, wits_max = int(k.max()), []
-        if best_min is None or k.min() < best_min:
-            best_min, wits_min = int(k.min()), []
-        wits_max += v[k == best_max].tolist()
-        wits_min += v[k == best_min].tolist()
+        top, low = int(k.max()), int(k.min())
+        if best_max is None or top > best_max:
+            best_max, wits_max = top, []
+        if best_min is None or low < best_min:
+            best_min, wits_min = low, []
+        if top == best_max:
+            wits_max += v[k == top].tolist()
+        if low == best_min:
+            wits_min += v[k == low].tolist()
     fmt = f"0{m}b"
     return (
         best_max,

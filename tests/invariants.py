@@ -75,14 +75,35 @@ def check_mask_sum_identity() -> int:
 
 def check_dual_identity() -> int:
     """For every text y (n <= 12) and every m <= n, summing w over all
-    patterns of length m gives C(n, m)."""
+    patterns of length m gives C(n, m).
+
+    One depth-first walk over the trie of patterns of length <= 12 serves
+    every n and m at once.  A node holds its pattern's embedding counts in
+    every prefix of every length-12 text, and the length-n texts are the
+    length-n prefixes of those.  Child x + b embeds in prefix t wherever x
+    embeds in a shorter prefix t' followed by y[t'] = b, so each node costs
+    one cumsum over a (13, 2^12) array.
+    """
+    top = 12
+    bits = (np.arange(1 << top) >> np.arange(top - 1, -1, -1)[:, None]) & 1
+    hits = [(bits == b).astype(np.int32) for b in (0, 1)]
+    # acc[m][n, v]: summed counts of the length-m patterns in text v[:n]
+    acc = np.zeros((top + 1, top + 1, 1 << top), dtype=np.int32)
+
+    def walk(counts, m):
+        acc[m] += counts
+        if m == top:
+            return
+        for hit in hits:
+            child = np.zeros_like(counts)
+            np.cumsum(hit * counts[:-1], axis=0, out=child[1:])
+            walk(child, m + 1)
+
+    walk(np.ones((top + 1, 1 << top), dtype=np.int32), 0)
     checked = 0
-    for n in range(1, 13):
+    for n in range(1, top + 1):
         for m in range(1, n + 1):
-            acc = np.zeros(1 << n, dtype=np.int64)
-            for x in ("".join(p) for p in itertools.product("01", repeat=m)):
-                acc += oracles.counts_all_texts(x, n)
-            assert (acc == binomial(n, m)).all(), (n, m)
+            assert (acc[m][n] == binomial(n, m)).all(), (n, m)
             checked += 1 << n
     return checked
 

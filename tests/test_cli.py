@@ -40,6 +40,18 @@ def test_kappa_all(capsys):
                     for v in range(128)]
 
 
+def test_kappa_all_json_lines(capsys):
+    # blocks of 2^11 patterns: m = 12 renders two chunks
+    for m in (3, 12):
+        code, out, _ = run(capsys, "kappa", "--all", str(m), "--format", "json")
+        assert code == 0
+        assert out == "".join(
+            json.dumps({"pattern": format(v, f"0{m}b"),
+                        "kappa2": kappa_squared(format(v, f"0{m}b"))}) + "\n"
+            for v in range(1 << m)
+        )
+
+
 def test_kappa_usage_errors(capsys):
     code, _, err = run(capsys, "kappa")
     assert code == 2 and "usage error" in err

@@ -92,6 +92,32 @@ def test_uncertainty_set_workers_match_serial():
     assert serial == list(uncertainty_set("010", 9, workers=4))
 
 
+def test_posterior_counts_its_dict(monkeypatch):
+    from delentropy import embedding
+
+    # the support is the same for every pattern of a length
+    for n in range(1, 13):
+        for m in range(1, n + 1):
+            size = embedding._support_size(n, m)
+            for x in ("0" * m, ("01" * m)[:m], ("0110" * m)[:m]):
+                assert size == np.count_nonzero(oracles.counts_all_texts(x, n))
+    # the estimate depends on m and n only: every pattern at n = 17 and "0"
+    # at n = 20 are admitted; at n = 23 the stream is, the dict is not
+    for m in range(1, 18):
+        embedding._admit(("01" * 9)[:m], 17, None, with_dict=True)
+    embedding._admit("0", 20, None, with_dict=True)
+    embedding._admit("0", 23, None, with_dict=False)
+    with pytest.raises(CapacityError):
+        embedding._admit("0", 23, None, with_dict=True)
+    # a bound between the table and table-plus-dict estimates: the stream
+    # is admitted, the dict is refused, naming its estimate and the bound
+    monkeypatch.setattr(embedding, "_TABLE_BYTES", 200_000)
+    assert len(list(uncertainty_set("0", 12))) == 4095
+    refusal = r"dict of 4095 rows needs about \d+ bytes .*bound of 200000 bytes"
+    with pytest.raises(CapacityError, match=refusal):
+        posterior("0", 12)
+
+
 def test_posterior_example():
     dist = posterior("0", 2)
     assert dist.entries == {"00": 2, "01": 1, "10": 1}

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from delentropy import (
@@ -16,6 +17,7 @@ from delentropy.extremal import (
     ExtremalInvariantError,
     alternating_patterns,
     constant_patterns,
+    kappa_blocks,
 )
 
 
@@ -58,6 +60,32 @@ def test_kappa_scans_match_direct_evaluation():
         res = search_kappa_min(m)
         assert res.value == lo
         assert res.witnesses == [x for x, k in kappas.items() if k == lo]
+
+
+def _scan(m):
+    blocks = list(kappa_blocks(m))
+    patterns = np.concatenate([v for v, _ in blocks])
+    assert (patterns == np.arange(1 << m)).all()
+    return [len(v) for v, _ in blocks], np.concatenate([k for _, k in blocks])
+
+
+def test_kappa_blocks_match_kappa_squared(monkeypatch):
+    import delentropy.extremal as ex
+
+    want = {
+        m: np.array([kappa_squared(x) for x in all_bitstrings(m)])
+        for m in range(1, 17)
+    }
+    for m, kappas in want.items():
+        sizes, got = _scan(m)
+        assert sizes == [1 << min(m, 11)] * (1 << max(0, m - 11))
+        assert (got == kappas).all(), m
+    # small blocks: every m > 3 crosses many high-bit blocks
+    monkeypatch.setattr(ex, "_KAPPA_BLOCK", 1 << 3)
+    for m, kappas in want.items():
+        sizes, got = _scan(m)
+        assert sizes == [1 << min(m, 3)] * (1 << max(0, m - 3))
+        assert (got == kappas).all(), m
 
 
 def test_search_workers_match_serial():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from delentropy import (
     variance_coefficient,
 )
 from delentropy.core import CapacityError, DegenerateDistributionError
-from delentropy.moments import MomentSet, diagnostics_from_moments
+from delentropy.moments import MomentSet, diagnostics_from_moments, interleaving_matrix
 
 import oracles
 
@@ -160,6 +161,45 @@ def test_symbol_mask_complement_invariant():
 @pytest.mark.parametrize("m,want", [(5, 630), (1, 1), (2, 6), (14, 280816200)])
 def test_kappa_max_values(m, want):
     assert kappa_max(m) == want
+
+
+def _masked_sum(x, tri):
+    """kappa2 as the masked double sum of C(r+s, r) * C(2m-r-s-2, m-r-1),
+    read off a Pascal triangle."""
+    m = len(x)
+    return sum(
+        tri[r + s][r] * tri[2 * m - r - s - 2][m - r - 1]
+        for r in range(m)
+        for s in range(m)
+        if x[r] == x[s]
+    )
+
+
+def test_kappa_squared_past_int64():
+    # lengths 31..64, past the scans' int64 bound; kappa_max(32) > 2^63
+    tri = oracles.pascal_triangle(127)
+    rng = random.Random(64)
+    for m in range(31, 65):
+        xs = ["0" * m, "01" * (m // 2) + "0" * (m % 2), "1" + "0" * (m - 1)]
+        xs += ["".join(rng.choice("01") for _ in range(m)) for _ in range(3)]
+        for x in xs:
+            assert kappa_squared(x) == _masked_sum(x, tri), x
+    assert 2 * kappa_max(31) > 2**63 and kappa_max(32) > 2**63
+
+
+def test_kappa_tables_are_not_shared():
+    x = "0110100"
+    k = kappa_squared(x)
+    dec = kappa_decomposition(x)
+    dec.interleavings[0][0] += 99
+    dec.masked[1][1] = -5
+    mat = interleaving_matrix(len(x))
+    mat[2][3] = 0
+    mat.append([1])
+    assert kappa_squared(x) == k
+    assert kappa_decomposition(x).interleavings == interleaving_matrix(len(x))
+    assert interleaving_matrix(len(x)) != mat
+    assert kappa_decomposition(x).kappa_squared == k
 
 
 def test_kappa_rejects_empty():
