@@ -263,15 +263,11 @@ def _cmd_hist(args) -> int:
     return EXIT_OK
 
 
-def _table_rows(table):
-    return [(x, k, h) for x, k, h in table.rows]
-
-
 def _cmd_table(args) -> int:
     table = extremal.ordering_table(
         args.n, args.m, guard=args.guard, workers=args.workers
     )
-    _write(args, _render(args, ["pattern", "kappa2", "H_bits"], _table_rows(table)))
+    _write(args, _render(args, ["pattern", "kappa2", "H_bits"], table.rows))
     if table.violations:
         for v in table.violations:
             print(f"finding: {json.dumps(v)}", file=sys.stderr)
@@ -386,7 +382,7 @@ def build_repro_files() -> dict[str, str]:
     files: dict[str, str] = {}
     table = extremal.ordering_table(8, 5)
     files["table_n8_m5.csv"] = _render_csv(
-        ["pattern", "kappa2", "H_bits"], _table_rows(table)
+        ["pattern", "kappa2", "H_bits"], table.rows
     )
     for n in range(5, 16):
         hist = distribution.exact_histogram("01", n)

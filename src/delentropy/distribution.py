@@ -15,9 +15,9 @@ import numpy as np
 from . import core
 from .embedding import (
     _extend,
+    _half_tables,
     _pattern_bits,
     count_embeddings,
-    prefix_table,
     total_masks,
 )
 from .moments import MomentSet
@@ -54,24 +54,16 @@ class WeightHistogram:
 def exact_histogram(x: str, n: int, *, guard: int | None = None) -> WeightHistogram:
     """Exact multiplicity of every weight value over all 2^n texts.
 
-    Meet in the middle: split each text as y = uv with |u| = n // 2.  An
-    embedding puts some prefix x[:i] in u and the rest in v, so
-    W(uv) = sum_i c_i(u) * s_i(v), where c_i(u) counts x[:i] in u and
-    s_i(v) counts x[i:] in v, the prefix count of reverse(x) of length m - i
-    in reverse(v).  Halves with equal count columns are merged with their
-    multiplicities, and W = C.T @ S is tallied over all pairs of distinct
-    columns in chunks, in exact integer arithmetic.
+    Meet in the middle on the half tables of ``_half_tables``: each text
+    splits as y = uv with |u| = n // 2, and W(uv) = sum_i c_i(u) * s_i(v),
+    where c_i(u) counts x[:i] in u and s_i(v) counts x[i:] in v.  Halves
+    with equal count columns are merged with their multiplicities, and
+    W = C.T @ S is tallied over all pairs of distinct columns in chunks, in
+    exact integer arithmetic.
     """
-    core.validate_pattern(x)
-    m = len(x)
-    if n < m:
-        raise ValueError(f"text length {n} shorter than pattern length {m}")
-    core.check_guard(n, guard)
-    h = n // 2
-    pre, pre_mult = np.unique(prefix_table(x, h), axis=1, return_counts=True)
-    suf, suf_mult = np.unique(
-        prefix_table(core.reverse(x), n - h)[::-1], axis=1, return_counts=True
-    )
+    pre, suf = _half_tables(x, n, guard)
+    pre, pre_mult = np.unique(pre, axis=1, return_counts=True)
+    suf, suf_mult = np.unique(suf, axis=1, return_counts=True)
     step = max(1, _PAIRS // suf.shape[1])
     counts = _tally(
         _merge(

@@ -16,16 +16,15 @@ import numpy as np
 
 from . import core
 
-# Posterior rows are formed this many texts at a time, which bounds the
-# character block of bit_strings to (n + 1) * 16 KiB.
+# Texts whose weights ``uncertainty_blocks`` forms at once: with the
+# zero-weight texts dropped, a block holds at most this many rows, which
+# bounds the character block of bit_strings to (n + 1) * 16 KiB.
 _ROWS = 1 << 14
 
-# Peak bytes a posterior's prefix table may take.  prefix_table(x, n) holds
-# (m + 1) * 2^n int64 cells; at its last doubling step np.repeat and
-# _extend's temporaries bring the peak to about 17 * (m + 1) * 2^n bytes
-# (2.12x the table, measured with tracemalloc for m = 1..16).  1 GiB admits
-# n = 20 for every m <= 20, and n = 24 for m = 1; with the dict of
-# ``posterior`` counted, n = 22 for m = 1.
+# Peak bytes of the dict ``posterior`` returns.  The row stream holds only
+# its two half tables and one block, so the guard alone bounds it; the dict
+# holds every row of the support.  1 GiB admits n = 22 and refuses n = 23
+# for m = 1.
 _TABLE_BYTES = 1 << 30
 
 # Bytes per row of the dict ``posterior`` returns, on top of the n
@@ -124,31 +123,47 @@ def bit_strings(values: np.ndarray, width: int) -> list[str]:
     return chars.tobytes().decode("ascii").splitlines()
 
 
-def _admit(x: str, n: int, guard: int | None, with_dict: bool) -> int:
-    """Validate a posterior of x over 2^n texts and return m.
-
-    Refuses it with CapacityError, naming the estimate and the bound, when
-    its estimated peak bytes pass ``_TABLE_BYTES``: the prefix table's, plus
-    with ``with_dict`` those of a dict of ``_support_size(n, m)`` rows.
-    """
+def _validate(x: str, n: int, guard: int | None) -> int:
+    """Check x and n for an enumeration of all 2^n texts, apply the guard,
+    and return m."""
     core.validate_pattern(x)
     m = len(x)
     if n < m:
         raise ValueError(f"text length {n} shorter than pattern length {m}")
     core.check_guard(n, guard)
-    need = 17 * (m + 1) << n
-    what = "its prefix-count table"
-    if with_dict:
-        rows = _support_size(n, m)
-        need += rows * (n + _DICT_ROW_BYTES)
-        what += f" and a dict of {rows} rows"
+    return m
+
+
+def _half_tables(x: str, n: int, guard: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(pre, suf): the count tables of x over the two halves of y = uv.
+
+    With |u| = n // 2 and |v| = k = n - n // 2, pre[i, u] counts x[:i] in u
+    and suf[i, v] counts x[i:] in v, both with columns in lexicographic text
+    order.  An embedding puts some prefix x[:i] in u and the rest in v, so
+    W(uv) = pre[:, u] @ suf[:, v].  suf is the prefix table of reverse(x)
+    over the reversed halves, rows flipped; reversing the k binary digit
+    axes of its column index moves reverse(v) to column v.  x and n are
+    checked, and the guard applied, before any table is built.
+    """
+    m = _validate(x, n, guard)
+    k = n - n // 2
+    suf = prefix_table(core.reverse(x), k)[::-1]
+    suf = suf.reshape((m + 1,) + (2,) * k).transpose(0, *range(k, 0, -1))
+    return prefix_table(x, n // 2), suf.reshape(m + 1, 1 << k)
+
+
+def _check_dict(x: str, n: int, guard: int | None) -> None:
+    """Check a posterior dict of x over 2^n texts as ``_validate`` does, and
+    refuse it with CapacityError, naming the estimate and the bound, when
+    its ``_support_size(n, m)`` rows would pass ``_TABLE_BYTES``."""
+    rows = _support_size(n, _validate(x, n, guard))
+    need = rows * (n + _DICT_ROW_BYTES)
     if need > _TABLE_BYTES:
         raise core.CapacityError(
-            f"posterior over 2^{n} texts refused: {what} "
+            f"posterior over 2^{n} texts refused: a dict of {rows} rows "
             f"needs about {need} bytes ({need / 2**30:.1f} GiB) at peak, "
             f"above the bound of {_TABLE_BYTES} bytes"
         )
-    return m
 
 
 def _support_size(n: int, m: int) -> int:
@@ -163,17 +178,25 @@ def uncertainty_blocks(
     """Yield the rows of ``uncertainty_set`` as (texts, weights) list pairs
     of at most ``_ROWS`` rows each, in the same order.
 
-    The weights are the last row of ``prefix_table(x, n)``, built in
-    O(2^n * m) and refused with CapacityError when its peak bytes would
-    pass ``_TABLE_BYTES``; only that row is kept, and each block's text
-    strings come from ``bit_strings``.
+    A block is a run of ``_ROWS`` consecutive texts uv of ``pre.T @ suf``
+    over the half tables of ``_half_tables``: several whole u-rows when
+    2^|v| <= _ROWS, else a ``_ROWS``-wide slice of one u-row.  Its
+    zero-weight texts are dropped and the text strings of the rest come
+    from ``bit_strings``.  Memory is O(m * 2^(n/2) + _ROWS), so only the
+    enumeration guard bounds the stream.
     """
-    m = _admit(x, n, guard, with_dict=False)
-    weights = prefix_table(x, n)[m].copy()
-    texts = np.flatnonzero(weights)
-    for lo in range(0, len(texts), _ROWS):
-        block = texts[lo : lo + _ROWS]
-        yield bit_strings(block, n), weights[block].tolist()
+    pre, suf = _half_tables(x, n, guard)
+    pre = np.ascontiguousarray(pre.T)
+    k = n - n // 2
+    width = min(_ROWS, 1 << k)
+    step = max(1, _ROWS >> k)
+    for u in range(0, len(pre), step):
+        for lo in range(0, 1 << k, width):
+            # entry j of the block is text (u << k) + lo + j in either shape
+            weights = (pre[u : u + step] @ suf[:, lo : lo + width]).ravel()
+            texts = np.flatnonzero(weights)
+            if len(texts):
+                yield bit_strings(texts + ((u << k) + lo), n), weights[texts].tolist()
 
 
 def uncertainty_set(
@@ -182,9 +205,9 @@ def uncertainty_set(
     """Yield (text, weight) for every length-n text with weight >= 1.
 
     Texts come out in lexicographic order, each exactly once; the rows
-    come in blocks from ``uncertainty_blocks``, so after the prefix table
-    only its weight row and one block are held.  ``workers`` is accepted
-    for compatibility and ignored.
+    come in blocks from ``uncertainty_blocks``, so only its two half tables
+    and one block are held.  ``workers`` is accepted for compatibility and
+    ignored.
     """
     for texts, weights in uncertainty_blocks(x, n, guard=guard):
         yield from zip(texts, weights)
@@ -195,11 +218,11 @@ def posterior(
 ) -> WeightDistribution:
     """Exact posterior weight distribution over the compatible texts.
 
-    The dict holds one row per text of ``_support_size(n, m)``, so its bytes
-    join the prefix table's in the estimate that ``_TABLE_BYTES`` bounds;
+    The dict holds one row per text of ``_support_size(n, m)``, and
+    ``_check_dict`` refuses it when those rows would pass ``_TABLE_BYTES``;
     ``uncertainty_blocks`` streams the same rows without the dict.
     """
-    _admit(x, n, guard, with_dict=True)
+    _check_dict(x, n, guard)
     entries: dict[str, int] = {}
     for texts, weights in uncertainty_blocks(x, n, guard=guard):
         entries.update(zip(texts, weights))

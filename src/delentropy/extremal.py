@@ -22,8 +22,9 @@ from .moments import _interleaving_table, kappa_max
 _TIE_RTOL = 1e-9
 
 # The scan's int64 partial sums stay within +-4 * kappa_max(m): sum(M) is
-# kappa_max(m), so each of 2 b.rowsum(M), 2 b'Mb and the cross term
-# 4 l'M_lh h is at most 2 * kappa_max(m).  4 * kappa_max(30) = 7.1e18 < 2^63.
+# kappa_max(m) = m C(2m-1, m), so each of 2|b| C(2m-1, m), 2 b'Mb and the
+# cross term 4 l'M_lh h is at most 2 * kappa_max(m).
+# 4 * kappa_max(30) = 7.1e18 < 2^63.
 _KAPPA_M_MAX = 30
 
 # Patterns per block of the kappa2 scan, a power of two: a block holds the
@@ -99,7 +100,8 @@ def kappa_blocks(m: int):
 
     Patterns are integer values in increasing (lexicographic) order.  With
     symbols b in {0, 1} and M symmetric, [b_r = b_s] expands to
-    1 - b_r - b_s + 2 b_r b_s, so kappa2(b) = sum(M) - 2 b.rowsum(M) + 2 b'Mb.
+    1 - b_r - b_s + 2 b_r b_s, and every row of M sums to c = C(2m-1, m), so
+    kappa2(b) = (m - 2|b|) c + 2 b'Mb.
     Splitting b into its high bits h and its k = log2(_KAPPA_BLOCK) low bits
     l, the terms in l alone are formed once for all l, and a block (one h)
     adds a scalar in h and the cross term l @ (4 M_lh h): 2^k * k
@@ -112,21 +114,20 @@ def kappa_blocks(m: int):
             f"kappa2 scan over 2^{m} patterns refused: m <= {_KAPPA_M_MAX} "
             f"keeps 4 * kappa_max(m) within int64"
         )
-    mat, rowsum, total = _interleaving_table(m)
-    mat = np.array(mat, dtype=np.int64)
-    rowsum = np.array(rowsum, dtype=np.int64)
+    mat = np.array(_interleaving_table(m), dtype=np.int64)
+    c = core.binomial(2 * m - 1, m)
     k = min(m, _KAPPA_BLOCK.bit_length() - 1)
     hi = m - k
     low = np.arange(1 << k)
     lbits = (low[:, None] >> np.arange(k - 1, -1, -1)) & 1
     # base[l] = kappa2 of the pattern with high bits 0 and low bits l
     quad = ((lbits @ mat[hi:, hi:]) * lbits).sum(axis=1)
-    base = total - 2 * (lbits @ rowsum[hi:]) + 2 * quad
-    mat_hh, rowsum_h, cross = mat[:hi, :hi], rowsum[:hi], 4 * mat[hi:, :hi]
+    base = (m - 2 * lbits.sum(axis=1)) * c + 2 * quad
+    mat_hh, cross = mat[:hi, :hi], 4 * mat[hi:, :hi]
     shifts = np.arange(hi - 1, -1, -1)
     for h in range(1 << hi):
         b = (h >> shifts) & 1
-        scalar = int(b @ (2 * (mat_hh @ b) - 2 * rowsum_h))
+        scalar = 2 * int(b @ (mat_hh @ b) - c * b.sum())
         yield low + (h << k), base + (scalar + lbits @ (cross @ b))
 
 

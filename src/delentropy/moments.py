@@ -20,7 +20,9 @@ uniform random text of length n.  This module computes:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -191,56 +193,69 @@ def exact_moment_set(x: str, n: int) -> MomentSet:
 # autocorrelation coefficient
 # ---------------------------------------------------------------------------
 
-# Interleaving tables kept at once, one per pattern length.  A table holds
-# m^2 exact ints: under 0.3 MiB at m = 64, 35 MiB at m = 500 (tracemalloc).
+# Interleaving tables are cached for lengths m <= _TABLE_CACHE only, one per
+# length.  A table holds m^2 exact ints: under 0.3 MiB at m = 64, so the
+# cache stays under about 20 MiB; a longer table (35 MiB at m = 500,
+# tracemalloc) is built per call and dropped afterwards.
 _TABLE_CACHE = 64
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
-def _interleaving_table(m: int) -> tuple[tuple, tuple, int]:
-    """(M, row sums of M, sum of M) for length m, as tuples of exact ints.
+def _interleaving_table(m: int) -> tuple[tuple[int, ...], ...]:
+    """M for length m, as a tuple of tuples of exact ints.
 
-    M[r][s] = C(r+s, r) * C(2m-r-s-2, m-r-1) for 0-based r, s; M is
-    symmetric, and its total is kappa_max(m).
+    M[r][s] = C(r+s, r) * C(2m-r-s-2, m-r-1) for 0-based r, s: the product
+    of P[r][s] and P[m-1-r][m-1-s] in the Pascal square P[r][s] = C(r+s, r),
+    whose row r is the running sum of row r - 1, so the table costs m^2
+    big-int additions and products.  M is symmetric, and every row sums to
+    C(2m-1, m) (Chu-Vandermonde), so its total is kappa_max(m).
     """
-    mat = tuple(
-        tuple(
-            binomial(r + s - 2, r - 1) * binomial(2 * m - r - s, m - r)
-            for s in range(1, m + 1)
-        )
-        for r in range(1, m + 1)
+    pascal = [[1] * m]
+    for _ in range(1, m):
+        pascal.append(list(itertools.accumulate(pascal[-1])))
+    return tuple(
+        tuple(map(operator.mul, pascal[r], reversed(pascal[m - 1 - r])))
+        for r in range(m)
     )
-    rowsum = tuple(map(sum, mat))
-    return mat, rowsum, sum(rowsum)
+
+
+def _interleavings(m: int) -> tuple[tuple[int, ...], ...]:
+    """``_interleaving_table(m)``, from the cache only for m <= _TABLE_CACHE."""
+    if m <= _TABLE_CACHE:
+        return _interleaving_table(m)
+    return _interleaving_table.__wrapped__(m)
 
 
 def interleaving_matrix(m: int) -> list[list[int]]:
     """M[r][s] = C(r+s, r) * C(2m-r-s-2, m-r-1) for 0-based r, s.
 
     Counts the interleavings of two length-m index sets sharing exactly one
-    position, split around the shared position.  The table is built once per
-    m and cached; each call returns a fresh list of lists.
+    position, split around the shared position.  Tables up to length
+    _TABLE_CACHE are built once and cached; each call returns a fresh list
+    of lists.
     """
     if m < 1:
         raise ValueError("pattern length must be >= 1")
-    return [list(row) for row in _interleaving_table(m)[0]]
+    return [list(row) for row in _interleavings(m)]
 
 
 def kappa_squared(x: str) -> int:
     """Autocorrelation coefficient: single-overlap interleavings of two
     copies of x whose shared position carries equal symbols.
 
-    With symbols b in {0, 1}, [b_r = b_s] = 1 - b_r - b_s + 2 b_r b_s, so
-    kappa2 = sum(M) - 2 b.rowsum(M) + 2 b'Mb over the cached interleaving
-    table, in exact ints for any m.  kappa2 is unchanged by complementing x,
-    so b marks the positions of the rarer symbol: at most m^2 / 4 terms.
+    With symbols b in {0, 1}, [b_r = b_s] = 1 - b_r - b_s + 2 b_r b_s, and
+    every row of M sums to C(2m-1, m), so
+    kappa2 = (m - 2|b|) C(2m-1, m) + 2 b'Mb over the interleaving table, in
+    exact ints for any m.  kappa2 is unchanged by complementing x, so b
+    marks the positions of the rarer symbol: at most m^2 / 4 terms.
     """
     core.validate_pattern(x)
-    mat, rowsum, total = _interleaving_table(len(x))
-    rare = "1" if x.count("1") <= len(x) // 2 else "0"
+    m = len(x)
+    mat = _interleavings(m)
+    rare = "1" if x.count("1") <= m // 2 else "0"
     pos = [i for i, c in enumerate(x) if c == rare]
     cross = sum(mat[r][s] for r in pos for s in pos)
-    return total - 2 * sum(rowsum[r] for r in pos) + 2 * cross
+    return (m - 2 * len(pos)) * binomial(2 * m - 1, m) + 2 * cross
 
 
 def kappa_decomposition(x: str) -> KappaDecomposition:

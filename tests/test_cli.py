@@ -282,7 +282,7 @@ def test_posterior_streams_entries(tmp_path, capsys):
             assert code == 0 and out == "" and dest.read_text() == text
     # a refusal comes before the first block, so no file is left behind
     dest = tmp_path / "refused" / "rows.csv"
-    code, _, err = run(capsys, "posterior", "0", "30", "--out", str(dest))
+    code, _, err = run(capsys, "posterior", "0", "31", "--out", str(dest))
     assert code == 3 and err.startswith("capacity error:")
     assert not dest.parent.exists()
 
@@ -291,8 +291,6 @@ def test_capacity_exit(capsys):
     wide = "011010011100101101000111010110010011101100010110100111001010"
     for argv, bound in [
         (["posterior", "0", "33"], "30"),
-        # within the n guard, but the prefix table would need about 34 GiB
-        (["posterior", "0", "30"], "36507222016 bytes"),
         (["hist", "01", "63", "--guard", "100"], "62"),  # int64, whatever the guard
         (["extremal", "--criterion", "kappa-min", "31"], "30"),
         (["extremal", "--criterion", "kappa-max", "31"], "30"),

@@ -76,12 +76,14 @@ def test_uncertainty_set_size_and_order():
 
 
 def test_uncertainty_set_guard():
+    from delentropy import embedding
+
     with pytest.raises(CapacityError):
         list(uncertainty_set("01", 40))
-    # within the n guard, but the prefix table would need tens of GiB:
-    # refused before anything is allocated, naming the estimate
-    with pytest.raises(CapacityError, match=r"about \d+ bytes .*bound of \d+ bytes"):
-        list(uncertainty_set("01", 30))
+    # at the n guard the stream holds two half tables and one block, so its
+    # first block comes at once
+    texts, weights = next(embedding.uncertainty_blocks("01", 30))
+    assert 0 < len(texts) == len(weights) <= embedding._ROWS
     # raising the guard explicitly is allowed
     rows = list(uncertainty_set("01", 12, guard=12))
     assert len(rows) == len(oracles.brute_posterior("01", 12))
@@ -104,13 +106,13 @@ def test_posterior_counts_its_dict(monkeypatch):
     # the estimate depends on m and n only: every pattern at n = 17 and "0"
     # at n = 20 are admitted; at n = 23 the stream is, the dict is not
     for m in range(1, 18):
-        embedding._admit(("01" * 9)[:m], 17, None, with_dict=True)
-    embedding._admit("0", 20, None, with_dict=True)
-    embedding._admit("0", 23, None, with_dict=False)
+        embedding._check_dict(("01" * 9)[:m], 17, None)
+    embedding._check_dict("0", 20, None)
+    next(embedding.uncertainty_blocks("0", 23))
     with pytest.raises(CapacityError):
-        embedding._admit("0", 23, None, with_dict=True)
-    # a bound between the table and table-plus-dict estimates: the stream
-    # is admitted, the dict is refused, naming its estimate and the bound
+        embedding._check_dict("0", 23, None)
+    # a bound below the dict's estimate: the stream is admitted, the dict
+    # is refused, naming its estimate and the bound
     monkeypatch.setattr(embedding, "_TABLE_BYTES", 200_000)
     assert len(list(uncertainty_set("0", 12))) == 4095
     refusal = r"dict of 4095 rows needs about \d+ bytes .*bound of 200000 bytes"
@@ -193,3 +195,44 @@ def test_uncertainty_set_spans_blocks():
         assert list(uncertainty_set(x, n)) == _oracle_rows(x, n)
         dist = posterior(x, n)
         assert list(dist.entries.items()) == _oracle_rows(x, n)
+
+
+def test_uncertainty_set_sparse_support_at_n22():
+    # 254 of the 2^22 texts hold a 20-bit pattern; the stream walks them all
+    from delentropy import embedding
+
+    x = ("01" * 11)[:20]
+    rows = list(uncertainty_set(x, 22))
+    assert len(rows) == embedding._support_size(22, 20) == 254
+    assert sum(w for _, w in rows) == total_masks(22, 20)
+    assert all(count_embeddings(x, y) == w for y, w in rows)
+
+
+def test_uncertainty_blocks_both_shapes(monkeypatch):
+    # _ROWS = 8 cuts every u-row into slices, _ROWS = 64 at n = 9 takes two
+    # whole u-rows per block; the rows must not change
+    from delentropy import embedding
+
+    for rows in (8, 64):
+        monkeypatch.setattr(embedding, "_ROWS", rows)
+        for x, n in (("0", 12), ("0110", 13), ("11", 9)):
+            blocks = list(embedding.uncertainty_blocks(x, n))
+            assert all(len(t) == len(w) <= rows for t, w in blocks)
+            got = [row for t, w in blocks for row in zip(t, w)]
+            assert got == _oracle_rows(x, n)
+
+
+def test_uncertainty_blocks_memory():
+    # the stream holds two half tables and one block, whatever n is
+    import tracemalloc
+
+    from delentropy import embedding
+
+    tracemalloc.start()
+    try:
+        rows = sum(len(t) for t, _ in embedding.uncertainty_blocks("0110100110", 20))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == embedding._support_size(20, 10)
+    assert peak < 16 << 20

@@ -147,6 +147,11 @@ def test_kappa_decomposition_constant_pattern():
         assert all(all(v == 1 for v in row) for row in dec.symbol_mask)
         assert dec.masked == dec.interleavings
         assert dec.kappa_squared == kappa_max(m)
+    # every row of M sums to C(2m-1, m) (Chu-Vandermonde), which kappa2's
+    # closed form relies on
+    for m in range(1, 41):
+        want = math.comb(2 * m - 1, m)
+        assert all(sum(row) == want for row in interleaving_matrix(m))
 
 
 def test_symbol_mask_complement_invariant():
@@ -200,6 +205,15 @@ def test_kappa_tables_are_not_shared():
     assert kappa_decomposition(x).interleavings == interleaving_matrix(len(x))
     assert interleaving_matrix(len(x)) != mat
     assert kappa_decomposition(x).kappa_squared == k
+
+
+def test_kappa_cache_keeps_short_tables_only():
+    from delentropy.moments import _interleaving_table
+
+    size = _interleaving_table.cache_info().currsize
+    x = "01" * 250
+    assert kappa_squared(x) == _masked_sum(x, oracles.pascal_triangle(999))
+    assert _interleaving_table.cache_info().currsize == size
 
 
 def test_kappa_rejects_empty():
