@@ -2,18 +2,30 @@
 
 Every subcommand is deterministic given its full flag set (seed included).
 Everything runs in one process; ``--workers`` is accepted for compatibility
-and ignored, so the bytes are the same for every value.  Exit codes:
+and ignored, so the bytes are the same for every value.  Every table is
+rendered by ``_row_chunks`` and written by ``_write``.  Exit codes:
 0 success, 1 internal failure (a proved statement falsified), 2 usage error,
-3 capacity error (enumeration guard, int64 or float range exceeded),
-4 notable finding (a predicted witness set deviated or the entropy ordering
-broke).
+3 capacity error, 4 notable finding (a predicted witness set deviated or the
+entropy ordering broke).
+
+The capacity bounds behind exit 3:
+
+* the enumeration guard on n (``--guard``, default 30) for every walk over
+  all 2^n texts, checked on the largest n of a range before any work;
+* n <= 62 for exact enumeration whatever the guard, so weights and
+  multiplicities fit int64;
+* m <= 30 for the kappa2 scans and ``kappa --all``;
+* 2^27 cell-steps for an exact moment tensor (``moments``, ``gaussian``,
+  ``entropy --mode estimate``);
+* 2^30 bytes for the dict the library's ``posterior()`` returns (the
+  ``posterior`` subcommand streams its rows, so only the guard bounds it);
+* 2^30 bytes for one block of a sampled histogram (``hist --sample``);
+* the float range for asymptotic moments.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import sys
@@ -37,57 +49,43 @@ _WORKERS_HELP = "accepted for compatibility and ignored; one process does all wo
 # rendering
 # ---------------------------------------------------------------------------
 
-def _fmt(value, full: bool) -> str:
-    if isinstance(value, float):
-        return repr(value) if full else f"{value:.4f}"
-    return str(value)
+def _row_chunks(args, header, blocks, footer=None):
+    """Render blocks of rows in ``args.format``, one text chunk per block,
+    then the footer dict as ``# k=v`` lines (CSV) or one more JSON object.
+
+    Every column keeps the cell type of its first-row cell, and no cell
+    holds a character that ``csv`` quotes or ``json.dumps`` escapes, so
+    each line is one ``str.format`` of a per-column template: the bytes of
+    ``csv.writer`` and of ``json.dumps(dict(zip(header, row)))``.  Floats
+    are written to 4 decimals in CSV and rounded to 4 places in JSON, or
+    whole (their ``repr``) under ``--full-precision``.  The CSV header goes
+    out with the first block.
+    """
+    as_csv = args.format == "csv"
+    template = None
+    for rows in blocks:
+        if template is None:
+            floats = [isinstance(v, float) for v in rows[0]]
+            rounded = not (as_csv or args.full_precision) and any(floats)
+            if as_csv:
+                yield ",".join(header) + "\n"
+                cell = "{}" if args.full_precision else "{:.4f}"
+                template = ",".join(cell if f else "{}" for f in floats) + "\n"
+            else:
+                template = "{{%s}}\n" % ", ".join(
+                    f'"{h}": "{{}}"' if isinstance(v, str) else f'"{h}": {{}}'
+                    for h, v in zip(header, rows[0])
+                )
+        if rounded:
+            rows = [[round(v, 4) if f else v for v, f in zip(row, floats)] for row in rows]
+        yield "".join(itertools.starmap(template.format, rows))
+    if footer and as_csv:
+        yield "".join(f"# {k}={v}\n" for k, v in footer.items())
+    elif footer:
+        yield from _row_chunks(args, list(footer), [[tuple(footer.values())]])
 
 
-def _jval(value, full: bool):
-    if isinstance(value, float) and not full:
-        return round(value, 4)
-    return value
-
-
-_is_float = float.__instancecheck__
-
-
-def _render_csv(header, rows, footers=(), full=False) -> str:
-    """CSV text of the rows; only float cells go through ``_fmt``, since
-    csv writes ints and strs as ``str`` does (no cell is None)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    if header is not None:
-        writer.writerow(header)
-    writer.writerows(
-        [_fmt(v, full) for v in row] if any(map(_is_float, row)) else row
-        for row in rows
-    )
-    for line in footers:
-        buf.write(f"# {line}\n")
-    return buf.getvalue()
-
-
-def _render_json_lines(objs, full=False) -> str:
-    out = []
-    for obj in objs:
-        out.append(json.dumps({k: _jval(v, full) for k, v in obj.items()}))
-    return "\n".join(out) + "\n"
-
-
-def _render(args, header, rows, footers=(), json_objs=None) -> str:
-    if args.format == "csv":
-        return _render_csv(header, rows, footers, args.full_precision)
-    if json_objs is None:
-        json_objs = [dict(zip(header, row)) for row in rows]
-    return _render_json_lines(json_objs, args.full_precision)
-
-
-def _write(args, text: str, filename: str | None = None) -> None:
-    _write_chunks(args, [text], filename)
-
-
-def _write_chunks(args, chunks, filename: str | None = None) -> None:
+def _write(args, chunks, filename: str | None = None) -> None:
     """Write the text chunks in order to stdout or to --out, one at a time.
 
     An error raised while producing the first chunk surfaces before any
@@ -131,71 +129,29 @@ def _cmd_kappa(args) -> int:
     if args.all is not None:
         if args.decomposition:
             raise ValueError("--decomposition needs a single pattern")
-        _write_chunks(args, _kappa_all_chunks(args))
+        blocks = (
+            list(zip(embedding.bit_strings(vs, args.all), ks.tolist()))
+            for vs, ks in extremal.kappa_blocks(args.all)
+        )
+        _write(args, _row_chunks(args, ["pattern", "kappa2"], blocks))
         return EXIT_OK
     x = core.validate_pattern(args.pattern)
-    if args.decomposition:
-        dec = moments.kappa_decomposition(x)
-        if args.format == "json":
-            obj = {
-                "pattern": x,
-                "m": dec.m,
-                "kappa2": dec.kappa_squared,
-                "B": dec.symbol_mask,
-                "M": dec.interleavings,
-                "R": dec.masked,
-            }
-            _write(args, _render_json_lines([obj], args.full_precision))
-        else:
-            buf = io.StringIO()
-            for name, mat in (
-                ("B", dec.symbol_mask),
-                ("M", dec.interleavings),
-                ("R", dec.masked),
-            ):
-                buf.write(f"# {name}\n")
-                writer = csv.writer(buf, lineterminator="\n")
-                for row in mat:
-                    writer.writerow(row)
-            buf.write(f"# kappa2={dec.kappa_squared}\n")
-            _write(args, buf.getvalue())
+    if not args.decomposition:
+        rows = [(x, moments.kappa_squared(x))]
+        _write(args, _row_chunks(args, ["pattern", "kappa2"], [rows]))
         return EXIT_OK
-    _write(args, _render(args, ["pattern", "kappa2"], [(x, moments.kappa_squared(x))]))
+    dec = moments.kappa_decomposition(x)
+    mats = {"B": dec.symbol_mask, "M": dec.interleavings, "R": dec.masked}
+    if args.format == "json":
+        obj = {"pattern": x, "m": dec.m, "kappa2": dec.kappa_squared, **mats}
+        _write(args, [json.dumps(obj) + "\n"])
+    else:
+        chunks = [
+            f"# {name}\n" + "".join(",".join(map(str, row)) + "\n" for row in mat)
+            for name, mat in mats.items()
+        ]
+        _write(args, chunks + [f"# kappa2={dec.kappa_squared}\n"])
     return EXIT_OK
-
-
-def _kappa_all_chunks(args):
-    """The rows of ``kappa --all M``, rendered one kappa2 block at a time."""
-    blocks = (
-        list(zip(embedding.bit_strings(vs, args.all), ks.tolist()))
-        for vs, ks in extremal.kappa_blocks(args.all)
-    )
-    return _row_chunks(args, ["pattern", "kappa2"], blocks)
-
-
-def _row_chunks(args, header, blocks):
-    """Render each block of rows as one chunk; the CSV header goes out with
-    the first block.
-
-    The cells are bit strings and ints, which neither ``csv`` nor
-    ``json.dumps`` quotes or escapes, so each line is one ``str.format`` of
-    a template (JSON quotes the string columns): the bytes of ``csv.writer``
-    and of ``json.dumps(dict(zip(header, row)))`` without a writer, a dict
-    or an encoder call per row.
-    """
-    template = None
-    for rows in blocks:
-        if template is None:
-            if args.format == "csv":
-                yield ",".join(header) + "\n"
-                template = ",".join(["{}"] * len(header)) + "\n"
-            else:
-                cells = ", ".join(
-                    f'"{h}": "{{}}"' if isinstance(v, str) else f'"{h}": {{}}'
-                    for h, v in zip(header, rows[0])
-                )
-                template = "{{" + cells + "}}\n"
-        yield "".join(itertools.starmap(template.format, rows))
 
 
 def _cmd_entropy(args) -> int:
@@ -225,21 +181,8 @@ def _cmd_entropy(args) -> int:
         est = entropy.moment_entropy_estimate(ms, embedding.total_masks(n, len(x)))
         header = ["pattern", "n", "estimate", "bound", "moments"]
         rows = [(x, n, est.estimate_bits, est.error_bound_bits, ms.provenance)]
-    _write(args, _render(args, header, rows))
+    _write(args, _row_chunks(args, header, [rows]))
     return EXIT_OK
-
-
-def _hist_payload(args, hist) -> str:
-    rows = sorted(hist.counts.items())
-    meta = {"mode": hist.mode, "n": hist.text_length, "pattern": hist.pattern}
-    if hist.mode == "sampled":
-        meta["seed"] = hist.seed
-    if args.format == "csv":
-        footers = [f"{k}={v}" for k, v in meta.items()]
-        return _render_csv(["omega", "count"], rows, footers, args.full_precision)
-    objs = [{"omega": w, "count": c} for w, c in rows]
-    objs.append(meta)
-    return _render_json_lines(objs, args.full_precision)
 
 
 def _cmd_hist(args) -> int:
@@ -247,8 +190,12 @@ def _cmd_hist(args) -> int:
     ns = _parse_n_range(args.n)
     if (args.sample is None) != (args.seed is None):
         raise ValueError("--sample and --seed go together")
-    if len(ns) > 1 and args.out is None:
-        raise ValueError("an n range needs --out DIR (one file per n)")
+    if len(ns) > 1:
+        if args.out is None:
+            raise ValueError("an n range needs --out DIR (one file per n)")
+        if args.sample is None:
+            # refuse the whole range before the first file is written
+            core.check_guard(ns[-1], args.guard)
     ext = "csv" if args.format == "csv" else "json"
     for n in ns:
         if args.sample is not None:
@@ -257,9 +204,12 @@ def _cmd_hist(args) -> int:
             )
         else:
             hist = distribution.exact_histogram(x, n, guard=args.guard)
-        payload = _hist_payload(args, hist)
+        footer = {"mode": hist.mode, "n": n, "pattern": x}
+        if hist.mode == "sampled":
+            footer["seed"] = hist.seed
+        rows = sorted(hist.counts.items())
         name = f"hist_{x}_n{n:02d}.{ext}" if len(ns) > 1 else None
-        _write(args, payload, name)
+        _write(args, _row_chunks(args, ["omega", "count"], [rows], footer), name)
     return EXIT_OK
 
 
@@ -267,7 +217,7 @@ def _cmd_table(args) -> int:
     table = extremal.ordering_table(
         args.n, args.m, guard=args.guard, workers=args.workers
     )
-    _write(args, _render(args, ["pattern", "kappa2", "H_bits"], table.rows))
+    _write(args, _row_chunks(args, ["pattern", "kappa2", "H_bits"], [table.rows]))
     if table.violations:
         for v in table.violations:
             print(f"finding: {json.dumps(v)}", file=sys.stderr)
@@ -275,24 +225,28 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _extremal_payload(args, results) -> str:
-    header = ["criterion", "m", "n", "value", "witnesses"]
-    rows = [
-        (r.criterion, r.m, "" if r.n is None else r.n, r.value, ";".join(r.witnesses))
-        for r in results
-    ]
-    objs = [
-        {
+def _extremal_chunks(args, results):
+    """CSV rows through ``_row_chunks``; JSON objects carry the witness and
+    violation lists, so they go through ``json.dumps``."""
+    if args.format == "csv":
+        header = ["criterion", "m", "n", "value", "witnesses"]
+        rows = [
+            (r.criterion, r.m, "" if r.n is None else r.n, r.value, ";".join(r.witnesses))
+            for r in results
+        ]
+        return _row_chunks(args, header, [rows])
+    rounded = not args.full_precision
+    return [
+        json.dumps({
             "m": r.m,
             "criterion": r.criterion,
             **({"n": r.n} if r.n is not None else {}),
-            "value": r.value,
+            "value": round(r.value, 4) if rounded and isinstance(r.value, float) else r.value,
             "witnesses": r.witnesses,
             "violations": [r.finding] if r.finding else [],
-        }
+        }) + "\n"
         for r in results
     ]
-    return _render(args, header, rows, json_objs=objs)
 
 
 def _cmd_extremal(args) -> int:
@@ -307,7 +261,7 @@ def _cmd_extremal(args) -> int:
         results = extremal.check_entropy_min(
             args.m, ns, guard=args.guard, workers=args.workers
         )
-    _write(args, _extremal_payload(args, results))
+    _write(args, _extremal_chunks(args, results))
     findings = [r.finding for r in results if r.finding]
     if findings:
         for f in findings:
@@ -334,7 +288,7 @@ def _cmd_moments(args) -> int:
             )
         header = ["pattern", "n", "r", "value", "provenance"]
         rows = [(x, n, r, value, "asymptotic")]
-    _write(args, _render(args, header, rows))
+    _write(args, _row_chunks(args, header, [rows]))
     return EXIT_OK
 
 
@@ -345,32 +299,31 @@ def _cmd_gaussian(args) -> int:
     for n in ns:
         diag = moments.gaussian_diagnostics(x, n)
         rows.append((x, n, diag.skewness, diag.excess_kurtosis))
-    _write(args, _render(args, ["pattern", "n", "skewness", "excess_kurtosis"], rows))
+    header = ["pattern", "n", "skewness", "excess_kurtosis"]
+    _write(args, _row_chunks(args, header, [rows]))
     return EXIT_OK
 
 
 def _cmd_posterior(args) -> int:
+    """Stream the rows one ``uncertainty_blocks`` block at a time, then the
+    normalizer mu as the footer."""
     x = core.validate_pattern(args.pattern)
-    _write_chunks(args, _posterior_chunks(args, x))
-    return EXIT_OK
-
-
-def _posterior_chunks(args, x):
-    """The posterior rows rendered one ``uncertainty_blocks`` block at a
-    time, then the normalizer as the ``# mu=`` footer or a JSON ``mu``
-    line; the CSV header goes out with the first block."""
+    # x and n are checked, and the guard applied, before mu is formed
+    m = embedding._validate(x, args.n, args.guard)
+    footer = {"mu": embedding.total_masks(args.n, m)}
     blocks = embedding.uncertainty_blocks(x, args.n, guard=args.guard)
-    yield from _row_chunks(args, ["y", "omega"], (list(zip(*b)) for b in blocks))
-    mu = embedding.total_masks(args.n, len(x))
-    if args.format == "csv":
-        yield _render_csv(None, (), [f"mu={mu}"])
-    else:
-        yield _render_json_lines([{"mu": mu}])
+    rows = (list(zip(*b)) for b in blocks)
+    _write(args, _row_chunks(args, ["y", "omega"], rows, footer))
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # repro: regenerate the three reference artifacts and diff them
 # ---------------------------------------------------------------------------
+
+# the reference artifacts are CSV with floats to 4 decimals
+_REPRO_STYLE = argparse.Namespace(format="csv", full_precision=False)
+
 
 def _entropy_row(n: int, x: str):
     rep = entropy.entropy_report(x, n)
@@ -379,21 +332,21 @@ def _entropy_row(n: int, x: str):
 
 def build_repro_files() -> dict[str, str]:
     """The three reference artifacts as {filename: file text}."""
+    def render(header, rows, footer=None):
+        return "".join(_row_chunks(_REPRO_STYLE, header, [rows], footer))
+
     files: dict[str, str] = {}
     table = extremal.ordering_table(8, 5)
-    files["table_n8_m5.csv"] = _render_csv(
-        ["pattern", "kappa2", "H_bits"], table.rows
-    )
+    files["table_n8_m5.csv"] = render(["pattern", "kappa2", "H_bits"], table.rows)
     for n in range(5, 16):
         hist = distribution.exact_histogram("01", n)
-        rows = sorted(hist.counts.items())
-        files[f"fig1_hist_01_n{n:02d}.csv"] = _render_csv(
-            ["omega", "count"], rows, ["mode=exact", f"n={n}", "pattern=01"]
+        files[f"fig1_hist_01_n{n:02d}.csv"] = render(
+            ["omega", "count"],
+            sorted(hist.counts.items()),
+            {"mode": "exact", "n": n, "pattern": "01"},
         )
     rows = [_entropy_row(8, x) for x in core.all_bitstrings(5)]
-    files["fig2_entropy_m5_n8.csv"] = _render_csv(
-        ["pattern", "n", "H", "R", "Hmin"], rows
-    )
+    files["fig2_entropy_m5_n8.csv"] = render(["pattern", "n", "H", "R", "Hmin"], rows)
     return files
 
 

@@ -26,6 +26,11 @@ from .moments import MomentSet
 # PCG64(seed).jumped(j), so results depend on (seed, sample_size) alone.
 _BLOCK = 8192
 
+# A block holds its texts' uint8 bits twice (as drawn and transposed) and
+# the int64 prefix table with one step's product; sample_histogram refuses a
+# block that would need more bytes than this.
+_BLOCK_BYTES = 1 << 30
+
 # Pairs of half-text classes whose weights exact_histogram forms at once,
 # and the fewest pending entries _tally merges; bounds their int64
 # temporaries to a few MiB.
@@ -147,7 +152,8 @@ def sample_histogram(
     ``_count_block`` are reduced by ``np.unique`` and the blocks are summed
     by ``_tally``, so no more than one block of per-sample weights is held
     at a time.  ``workers`` is accepted for compatibility and ignored.
-    There is no enumeration guard, so this extends histograms past it.
+    There is no enumeration guard, so this extends histograms past it; a
+    block needing more than ``_BLOCK_BYTES`` is refused before any draw.
     """
     core.validate_pattern(x)
     m = len(x)
@@ -155,6 +161,13 @@ def sample_histogram(
         raise ValueError(f"text length {n} shorter than pattern length {m}")
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
+    block = min(_BLOCK, sample_size)
+    need = block * (2 * n + 16 * (m + 1))
+    if need > _BLOCK_BYTES:
+        raise core.CapacityError(
+            f"a sample block of {block} texts of length {n} needs {need} bytes, "
+            f"over the {_BLOCK_BYTES}-byte bound"
+        )
     counts = _tally(
         np.unique(
             _count_block(x, n, seed, j, min(_BLOCK, sample_size - j * _BLOCK)),

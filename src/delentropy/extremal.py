@@ -286,12 +286,14 @@ def check_entropy_min(
 
     The constant patterns are predicted to minimize for large n; each result
     records whether they do at this n (deviations surface as findings).
+    The guard is checked on the largest n before any entropy is computed.
     """
     if m < 1:
         raise ValueError("pattern length must be >= 1")
+    n_values = list(n_values)
+    core.check_guard(max(n_values, default=0), guard)
     results = []
     for n in n_values:
-        core.check_guard(n, guard)
         rows = _entropy_rows(n, m, guard)
         best = min(h for _, h in rows)
         tol = _TIE_RTOL * max(1.0, abs(best))

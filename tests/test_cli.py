@@ -1,10 +1,32 @@
+import csv
+import io
 import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from delentropy import cli, kappa_max, kappa_squared, posterior
+from delentropy import (
+    asymptotic_variance,
+    check_entropy_min,
+    cli,
+    entropy_report,
+    exact_histogram,
+    exact_moment,
+    exact_moment_set,
+    gaussian_diagnostics,
+    kappa_max,
+    kappa_squared,
+    min_entropy,
+    moment_entropy_estimate,
+    ordering_table,
+    posterior,
+    renyi2_entropy,
+    sample_histogram,
+    search_kappa_min,
+    total_masks,
+    verify_kappa_max,
+)
 from delentropy.cli import _parse_n_range, main
 
 
@@ -150,6 +172,22 @@ def test_hist_range_writes_files(tmp_path, capsys):
     body = (tmp_path / "hist_01_n05.csv").read_text()
     assert body.startswith("omega,count\n")
     assert body.endswith("# mode=exact\n# n=5\n# pattern=01\n")
+
+
+def test_range_refused_before_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the guard refusal")
+
+    monkeypatch.setattr(cli.distribution, "exact_histogram", no_work)
+    monkeypatch.setattr(cli.extremal, "shannon_entropy", no_work)
+    dest = tmp_path / "d"
+    code, _, err = run(capsys, "hist", "01", "5..8", "--guard", "6", "--out", str(dest))
+    assert code == 3 and err.startswith("capacity error:") and "(6)" in err
+    assert not dest.exists()
+    code, _, err = run(capsys, "extremal", "--criterion", "entropy-min", "3",
+                       "--n-range", "8..33", "--out", str(dest))
+    assert code == 3 and "2^33" in err
+    assert not dest.exists()
 
 
 def test_hist_range_needs_out(capsys):
@@ -328,3 +366,145 @@ def test_out_file_single(tmp_path, capsys):
     code, out, _ = run(capsys, "kappa", "0", "--out", str(dest))
     assert code == 0 and out == ""
     assert dest.read_text() == "pattern,kappa2\n0,1\n"
+
+
+def _hist_table(hist):
+    footer = {"mode": hist.mode, "n": hist.text_length, "pattern": hist.pattern}
+    if hist.mode == "sampled":
+        footer["seed"] = hist.seed
+    return ["omega", "count"], sorted(hist.counts.items()), footer
+
+
+def _extremal_table(results):
+    rows = [
+        (r.criterion, r.m, "" if r.n is None else r.n, r.value, ";".join(r.witnesses))
+        for r in results
+    ]
+    objs = [
+        {
+            "m": r.m,
+            "criterion": r.criterion,
+            **({"n": r.n} if r.n is not None else {}),
+            "value": r.value,
+            "witnesses": r.witnesses,
+            "violations": [r.finding] if r.finding else [],
+        }
+        for r in results
+    ]
+    code = 4 if any(r.finding for r in results) else 0
+    return ["criterion", "m", "n", "value", "witnesses"], rows, {}, objs, code
+
+
+def _estimate_table():
+    ms = exact_moment_set("0110", 9)
+    est = moment_entropy_estimate(ms, total_masks(9, 4))
+    rows = [("0110", 9, est.estimate_bits, est.error_bound_bits, ms.provenance)]
+    return ["pattern", "n", "estimate", "bound", "moments"], rows, {}
+
+
+def _ordering_table():
+    table = ordering_table(8, 4)
+    code = 4 if table.violations else 0
+    return ["pattern", "kappa2", "H_bits"], table.rows, {}, None, code
+
+
+def _exact_moment_table():
+    value = exact_moment("011", 7, 3)
+    rows = [("011", 7, 3, value.numerator, value.denominator, "exact")]
+    return ["pattern", "n", "r", "value_num", "value_den", "provenance"], rows, {}
+
+
+def _posterior_table():
+    dist = posterior("010", 6)
+    return ["y", "omega"], sorted(dist.entries.items()), {"mu": dist.normalizer}
+
+
+def _report_row(x, n):
+    rep = entropy_report(x, n)
+    return (x, n, rep.shannon_bits, rep.renyi2_bits, rep.min_entropy_bits, rep.mode)
+
+
+# argv -> the table the library gives for it: (header, rows, footer[, json
+# objects, exit code]); the JSON objects default to one per row plus the
+# footer, the exit code to 0
+_TABLES = {
+    ("kappa", "0110"): lambda: (["pattern", "kappa2"], [("0110", kappa_squared("0110"))], {}),
+    ("kappa", "--all", "4"): lambda: (
+        ["pattern", "kappa2"],
+        [(format(v, "04b"), kappa_squared(format(v, "04b"))) for v in range(16)],
+        {},
+    ),
+    ("entropy", "01010", "8"): lambda: (
+        ["pattern", "n", "H", "R", "Hmin", "mode"], [_report_row("01010", 8)], {}
+    ),
+    ("entropy", "011", "9", "--mode", "renyi2"): lambda: (
+        ["pattern", "n", "R"], [("011", 9, renyi2_entropy("011", 9))], {}
+    ),
+    ("entropy", "011", "9", "--mode", "min"): lambda: (
+        ["pattern", "n", "Hmin"], [("011", 9, min_entropy("011", 9))], {}
+    ),
+    ("entropy", "0110", "9", "--mode", "estimate"): _estimate_table,
+    ("hist", "011", "9"): lambda: _hist_table(exact_histogram("011", 9)),
+    ("hist", "011", "40", "--sample", "3000", "--seed", "5"): lambda: _hist_table(
+        sample_histogram("011", 40, 3000, 5)
+    ),
+    ("table", "8", "4"): _ordering_table,
+    ("extremal", "--criterion", "kappa-max", "5"): lambda: _extremal_table(
+        [verify_kappa_max(5)]
+    ),
+    ("extremal", "--criterion", "kappa-min", "6"): lambda: _extremal_table(
+        [search_kappa_min(6)]
+    ),
+    ("extremal", "--criterion", "entropy-min", "3", "--n-range", "4..6"): lambda: (
+        _extremal_table(check_entropy_min(3, [4, 5, 6]))
+    ),
+    ("moments", "011", "7", "--r", "3"): _exact_moment_table,
+    ("moments", "011", "50", "--r", "2", "--mode", "asymptotic"): lambda: (
+        ["pattern", "n", "r", "value", "provenance"],
+        [("011", 50, 2, asymptotic_variance(50, 3, kappa_squared("011")),
+          "asymptotic")],
+        {},
+    ),
+    ("gaussian", "011", "5..8"): lambda: (
+        ["pattern", "n", "skewness", "excess_kurtosis"],
+        [("011", n, d.skewness, d.excess_kurtosis)
+         for n in range(5, 9) for d in [gaussian_diagnostics("011", n)]],
+        {},
+    ),
+    ("posterior", "010", "6"): _posterior_table,
+}
+
+
+def _reference_text(fmt, full, header, rows, footer, objs=None, code=0):
+    """The table as csv.writer and json.dumps write it: floats to 4 decimals
+    (CSV) or rounded to 4 places (JSON) unless full precision is asked."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                [(repr(v) if full else f"{v:.4f}") if isinstance(v, float) else v
+                 for v in row]
+            )
+        buf.write("".join(f"# {k}={v}\n" for k, v in footer.items()))
+        return buf.getvalue()
+    if objs is None:
+        objs = [dict(zip(header, row)) for row in rows] + ([footer] if footer else [])
+    return "".join(
+        json.dumps({k: v if full or not isinstance(v, float) else round(v, 4)
+                    for k, v in obj.items()}) + "\n"
+        for obj in objs
+    )
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["default", "full"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", list(_TABLES), ids=" ".join)
+def test_table_bytes(capsys, argv, fmt, full):
+    table = _TABLES[argv]()
+    flags = ["--format", fmt] + (["--full-precision"] if full else [])
+    code, out, _ = run(capsys, *argv, *flags)
+    want = _reference_text(fmt, full, *table)
+    assert code == (table[4] if len(table) > 4 else 0)
+    assert out == want

@@ -188,6 +188,19 @@ def test_sample_histogram_beyond_guard():
     assert h.total() == 100
 
 
+def test_sample_histogram_block_bytes(monkeypatch):
+    # a full block at n = 10^6 would hold 2 * 8192 * 10^6 bytes of bits
+    def no_draw(*args):
+        raise AssertionError("a block was drawn before the refusal")
+
+    monkeypatch.setattr(distribution, "_count_block", no_draw)
+    with pytest.raises(CapacityError, match="over the 1073741824-byte bound"):
+        sample_histogram("01", 10**6, 100_000, seed=1)
+    monkeypatch.undo()
+    for n in (64, 200):
+        assert sample_histogram("01", n, 10_000, seed=1).total() == 10_000
+
+
 def test_sample_histogram_validation():
     with pytest.raises(ValueError):
         sample_histogram("01", 10, 0, seed=1)

@@ -136,15 +136,21 @@ def test_posterior_point_mass():
 
 def test_posterior_weights_sum_to_normalizer():
     # integer identity equivalent to posterior probabilities summing to 1;
-    # rows also come out in lexicographic text order
+    # rows also come out in lexicographic text order.  The oracle posteriors
+    # come from one mask walk per (n, m): want[x, n][y] counts x in y.
+    want = {}
+    for n in range(1, 11):
+        for m in range(1, min(n, 4) + 1):
+            for y in oracles.all_texts(n):
+                for x, w in oracles.mask_tally(y, m).items():
+                    want.setdefault((x, n), {})[y] = w
     for m in range(1, 5):
         for x in ("".join(p) for p in itertools.product("01", repeat=m)):
             for n in range(m, 11):
-                want = oracles.brute_posterior(x, n)
-                assert list(uncertainty_set(x, n)) == sorted(want.items())
+                assert list(uncertainty_set(x, n)) == sorted(want[x, n].items())
                 dist = posterior(x, n)
                 assert sum(dist.entries.values()) == dist.normalizer
-                assert dist.entries == want
+                assert dist.entries == want[x, n]
 
 
 def _recurrence_count(x, y):

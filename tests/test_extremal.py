@@ -13,6 +13,8 @@ from delentropy import (
     search_kappa_min,
     verify_kappa_max,
 )
+from delentropy import extremal
+from delentropy.core import CapacityError
 from delentropy.extremal import (
     ExtremalInvariantError,
     alternating_patterns,
@@ -213,6 +215,15 @@ def test_entropy_min_m3_sweep():
     for res in check_entropy_min(3, range(4, 9)):
         assert res.witnesses == ["000", "111"]
         assert res.finding is None
+
+
+def test_entropy_min_guard_before_work(monkeypatch):
+    def no_entropy(*args, **kwargs):
+        raise AssertionError("entropy computed before the guard refusal")
+
+    monkeypatch.setattr(extremal, "shannon_entropy", no_entropy)
+    with pytest.raises(CapacityError, match="2\\^33 texts"):
+        check_entropy_min(3, range(8, 34))
 
 
 def test_entropy_min_degenerate_all_tie():
