@@ -104,3 +104,27 @@ def all_bitstrings(m: int):
         raise ValueError("length must be >= 1")
     for v in range(1 << m):
         yield format(v, f"0{m}b")
+
+
+def orbit_representative(s: str) -> str:
+    """The smallest of s, its complement, its reversal and its reversed
+    complement: one member of each orbit of the symmetry group."""
+    c = complement(s)
+    return min(s, c, reverse(s), reverse(c))
+
+
+def per_orbit(m: int, fn) -> list[tuple[str, object]]:
+    """[(x, fn(orbit_representative(x)))] for all length-m bitstrings x in
+    lexicographic order, calling fn once per orbit.
+
+    For a fn that complement and reversal leave unchanged, such as an exact
+    entropy of the posterior, this is [(x, fn(x))].
+    """
+    values: dict[str, object] = {}
+    rows = []
+    for x in all_bitstrings(m):
+        rep = orbit_representative(x)
+        if rep not in values:
+            values[rep] = fn(rep)
+        rows.append((x, values[rep]))
+    return rows

@@ -22,13 +22,15 @@ from .embedding import (
 )
 from .moments import MomentSet
 
-# Sample index s is drawn by PRNG stream s // _BLOCK; stream j is
-# PCG64(seed).jumped(j), so results depend on (seed, sample_size) alone.
+# Sample index s is drawn by PRNG stream s // _BLOCK; stream j is the raw
+# output of PCG64(seed).jumped(j) (see _stream_bits), so results depend on
+# (seed, sample_size) alone.
 _BLOCK = 8192
 
-# A block holds its texts' uint8 bits twice (as drawn and transposed) and
-# the int64 prefix table with one step's product; sample_histogram refuses a
-# block that would need more bytes than this.
+# A block holds its texts' bits twice, as raw stream bytes and as the
+# shifted (n, size) uint8 layout, and the int64 prefix table with one
+# step's product; sample_histogram refuses a block that would need more
+# bytes than this.
 _BLOCK_BYTES = 1 << 30
 
 # Pairs of half-text classes whose weights exact_histogram forms at once,
@@ -62,22 +64,36 @@ def exact_histogram(x: str, n: int, *, guard: int | None = None) -> WeightHistog
     Meet in the middle on the half tables of ``_half_tables``: each text
     splits as y = uv with |u| = n // 2, and W(uv) = sum_i c_i(u) * s_i(v),
     where c_i(u) counts x[:i] in u and s_i(v) counts x[i:] in v.  Halves
-    with equal count columns are merged with their multiplicities, and
-    W = C.T @ S is tallied over all pairs of distinct columns in chunks, in
-    exact integer arithmetic.
+    with equal count columns are merged with their multiplicities
+    (``_distinct_columns``), and W = C.T @ S is tallied over all pairs of
+    distinct columns in chunks, in exact integer arithmetic.
     """
     pre, suf = _half_tables(x, n, guard)
-    pre, pre_mult = np.unique(pre, axis=1, return_counts=True)
-    suf, suf_mult = np.unique(suf, axis=1, return_counts=True)
-    step = max(1, _PAIRS // suf.shape[1])
+    pre, pre_mult = _distinct_columns(pre)
+    suf, suf_mult = _distinct_columns(suf)
+    step = max(1, _PAIRS // len(suf))
     counts = _tally(
         _merge(
-            (pre[:, lo : lo + step].T @ suf).ravel(),
+            (pre[lo : lo + step] @ suf.T).ravel(),
             np.multiply.outer(pre_mult[lo : lo + step], suf_mult).ravel(),
         )
-        for lo in range(0, pre.shape[1], step)
+        for lo in range(0, len(pre), step)
     )
     return WeightHistogram(pattern=x, text_length=n, counts=counts, mode="exact")
+
+
+def _distinct_columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct columns of a 2-D table, as the rows of the result, with
+    their multiplicities.
+
+    Each column of the contiguous transpose is one opaque row-bytes key, so
+    one 1-D ``np.unique`` finds them; its order is a byte order, not the
+    numeric one, which the weight-sorted tally never sees.
+    """
+    rows = np.ascontiguousarray(table.T)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, mult = np.unique(keys, return_index=True, return_counts=True)
+    return rows[first], mult
 
 
 def _merge(weights: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,26 +131,40 @@ def _tally(blocks) -> dict[int, int]:
 def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarray:
     """Weights of one PRNG stream's slice of the sample index space.
 
-    The texts are the rows of ``size`` x n uniform bits drawn from
-    PCG64(seed).jumped(stream); their weights come from the int64 prefix
-    table stepped by ``_extend``, or, when C(n, m) >= 2^62 could overflow
-    int64, from ``count_embeddings`` per text as an object array of exact
-    ints (same draws).
+    The texts are the columns of ``_stream_bits``.  Their weights come from
+    the int64 prefix table stepped by ``_extend``, or, when C(n, m) >= 2^62
+    could overflow int64, from ``count_embeddings`` per text as an object
+    array of exact ints (same bits).
     """
-    rng = np.random.Generator(np.random.PCG64(seed).jumped(stream))
-    bits = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
+    bits = _stream_bits(seed, stream, size, n)
     m = len(x)
     if core.binomial(n, m) >= 2**62:
         return np.array(
-            [count_embeddings(x, "".join(map(str, row.tolist()))) for row in bits],
+            [count_embeddings(x, "".join(map(str, row.tolist()))) for row in bits.T],
             dtype=object,
         )
     xb = _pattern_bits(x)
     dp = np.zeros((m + 1, size), dtype=np.int64)
     dp[0] = 1
-    for col in np.ascontiguousarray(bits.T):
+    for col in bits:
         _extend(dp, col, xb)
     return dp[m]
+
+
+def _stream_bits(seed: int, stream: int, size: int, n: int) -> np.ndarray:
+    """The (n, size) uint8 bits of ``size`` texts of length n from one
+    stream: text t is stream bits t*n .. t*n + n - 1.
+
+    Bit k is the top bit of byte k of PCG64(seed).jumped(stream).random_raw(
+    ceil(size * n / 8)), the words read little-endian; these are the bits
+    ``Generator.integers(0, 2, size=(size, n), dtype=np.uint8)`` draws.
+    They are shifted straight into the layout the prefix table walks.
+    """
+    raw = np.random.PCG64(seed).jumped(stream).random_raw(-(-size * n // 8))
+    stream_bytes = raw.astype("<u8", copy=False).view(np.uint8)[: size * n]
+    bits = np.empty((n, size), dtype=np.uint8)
+    np.right_shift(stream_bytes.reshape(size, n).T, 7, out=bits)
+    return bits
 
 
 def sample_histogram(

@@ -184,13 +184,24 @@ def uncertainty_blocks(
     zero-weight texts are dropped and the text strings of the rest come
     from ``bit_strings``.  Memory is O(m * 2^(n/2) + _ROWS), so only the
     enumeration guard bounds the stream.
+
+    Let a(u) be the longest prefix of x that u holds and b(v) the start of
+    the longest suffix of x that v holds.  The tables are prefix- and
+    suffix-closed, so W(uv) > 0 exactly when a(u) >= b(v), and a block
+    whose u-rows all have a(u) < min_v b(v) holds only zero weights: it is
+    skipped unformed (constant patterns leave one live u-row).
     """
     pre, suf = _half_tables(x, n, guard)
     pre = np.ascontiguousarray(pre.T)
+    reach = (pre > 0).sum(axis=1) - 1  # a(u)
+    start = len(x) + 1 - (suf > 0).sum(axis=0)  # b(v)
+    live = reach >= start.min()
     k = n - n // 2
     width = min(_ROWS, 1 << k)
     step = max(1, _ROWS >> k)
     for u in range(0, len(pre), step):
+        if not live[u : u + step].any():
+            continue
         for lo in range(0, 1 << k, width):
             # entry j of the block is text (u << k) + lo + j in either shape
             weights = (pre[u : u + step] @ suf[:, lo : lo + width]).ravel()

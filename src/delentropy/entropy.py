@@ -64,9 +64,11 @@ def shannon_entropy(x: str, n: int, *, guard: int | None = None) -> float:
 
 
 def _shannon_bits(hist: WeightHistogram) -> float:
+    # int / int true division rounds the exact ratio once (correctly
+    # rounded), so no Fraction and no gcd is needed per class
     mu = total_masks(hist.text_length, len(hist.pattern))
     acc = math.fsum(
-        float(Fraction(mult * w, mu)) * math.log2(w)
+        mult * w / mu * math.log2(w)
         for w, mult in sorted(hist.counts.items())
         if w > 1
     )

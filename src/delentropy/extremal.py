@@ -198,7 +198,10 @@ def search_kappa_min(m: int, *, workers: int = 1) -> ExtremalResult:
 
 
 def _entropy_rows(n: int, m: int, guard: int | None) -> list[tuple[str, float]]:
-    return [(x, shannon_entropy(x, n, guard=guard)) for x in core.all_bitstrings(m)]
+    """(x, Shannon bits) for all 2^m patterns in lexicographic order, one
+    exact histogram per symmetry orbit: complement and reversal leave the
+    histogram, and so the bits, unchanged."""
+    return core.per_orbit(m, lambda x: shannon_entropy(x, n, guard=guard))
 
 
 def ordering_table(
@@ -286,12 +289,17 @@ def check_entropy_min(
 
     The constant patterns are predicted to minimize for large n; each result
     records whether they do at this n (deviations surface as findings).
-    The guard is checked on the largest n before any entropy is computed.
+    The guard is checked on the largest n before any entropy is computed; a
+    range is not materialized for it, since its largest value is an end.
     """
     if m < 1:
         raise ValueError("pattern length must be >= 1")
-    n_values = list(n_values)
-    core.check_guard(max(n_values, default=0), guard)
+    if isinstance(n_values, range):
+        top = max(n_values[0], n_values[-1]) if n_values else 0
+    else:
+        n_values = list(n_values)
+        top = max(n_values, default=0)
+    core.check_guard(top, guard)
     results = []
     for n in n_values:
         rows = _entropy_rows(n, m, guard)

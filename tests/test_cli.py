@@ -37,8 +37,9 @@ def run(capsys, *argv):
 
 
 def test_parse_n_range():
-    assert _parse_n_range("8") == [8]
-    assert _parse_n_range("5..8") == [5, 6, 7, 8]
+    assert _parse_n_range("8") == range(8, 9)
+    assert _parse_n_range("5..8") == range(5, 9)
+    assert list(_parse_n_range("5..8")) == [5, 6, 7, 8]
     with pytest.raises(ValueError):
         _parse_n_range("9..5")
     with pytest.raises(ValueError):
@@ -188,6 +189,25 @@ def test_range_refused_before_work(tmp_path, capsys, monkeypatch):
                        "--n-range", "8..33", "--out", str(dest))
     assert code == 3 and "2^33" in err
     assert not dest.exists()
+
+
+def test_huge_range_refused_at_once(tmp_path, capsys):
+    # the range is refused on its largest n without being listed
+    import tracemalloc
+
+    dest = tmp_path / "d"
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "hist", "01", "5..1000000000000", "--out", str(dest))
+        assert code == 3 and err.startswith("capacity error:") and "2^1000000000000" in err
+        code, _, err = run(capsys, "extremal", "--criterion", "entropy-min", "4",
+                           "--n-range", "8..1000000000000", "--out", str(dest))
+        assert code == 3 and err.startswith("capacity error:") and "2^1000000000000" in err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not dest.exists()
+    assert peak < 1 << 20
 
 
 def test_hist_range_needs_out(capsys):

@@ -49,6 +49,20 @@ def test_tally_merges_across_chunks(monkeypatch):
     assert sample_histogram("0110", 20, 3 * 8192 + 77, seed=5).counts == sampled
 
 
+def test_distinct_columns_match_unique_axis1():
+    # same (column, multiplicity) multiset as np.unique(axis=1), whatever
+    # the order the byte keys sort into
+    from delentropy.embedding import _half_tables
+
+    for x, n in (("0", 1), ("01", 5), ("0110", 11), ("01010", 14), ("111", 12)):
+        for table in _half_tables(x, n, None):
+            cols, mult = distribution._distinct_columns(table)
+            want_cols, want_mult = np.unique(table, axis=1, return_counts=True)
+            got = sorted(zip(map(tuple, cols.tolist()), mult.tolist()))
+            want = sorted(zip(map(tuple, want_cols.T.tolist()), want_mult.tolist()))
+            assert got == want
+
+
 def test_exact_histogram_mass_identities():
     for m in range(1, 5):
         for x in ("".join(p) for p in itertools.product("01", repeat=m)):
@@ -147,6 +161,25 @@ def _redrawn_histogram(x, n, sample_size, seed):
 def test_sample_histogram_matches_redrawn_counts(x, n, sample_size, seed):
     got = sample_histogram(x, n, sample_size, seed=seed).counts
     assert got == _redrawn_histogram(x, n, sample_size, seed)
+
+
+def test_stream_bits_match_generator_integers():
+    # bit k is the top bit of raw byte k; sizes with size * n % 8 != 0 leave
+    # part of the last word unused
+    for seed, stream, size, n in itertools.product(
+        (0, 1, 2024), (0, 1, 3), (1, 3, 7, 100, 8192), (1, 5, 8, 13, 64)
+    ):
+        rng = np.random.Generator(np.random.PCG64(seed).jumped(stream))
+        want = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
+        got = distribution._stream_bits(seed, stream, size, n)
+        assert got.shape == (n, size) and got.dtype == np.uint8
+        assert np.array_equal(got.T, want), (seed, stream, size, n)
+    # per-text weights, in draw order, on both weight paths
+    for x, n, seed, stream, size in (("0110", 13, 9, 2, 301), ("01" * 16 + "0", 66, 3, 0, 9)):
+        rng = np.random.Generator(np.random.PCG64(seed).jumped(stream))
+        rows = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
+        want = [count_embeddings(x, "".join(map(str, row.tolist()))) for row in rows]
+        assert distribution._count_block(x, n, seed, stream, size).tolist() == want
 
 
 def test_sample_histogram_single_draw():

@@ -228,6 +228,31 @@ def test_uncertainty_blocks_both_shapes(monkeypatch):
             assert got == _oracle_rows(x, n)
 
 
+def test_uncertainty_blocks_skip_dead_rows(monkeypatch):
+    # constant and near-constant patterns leave few u-rows with any
+    # nonzero weight; skipping the rest must not change a row, in either
+    # block shape
+    from delentropy import embedding
+
+    cases = [("1" * 8, 15), ("0" * 9, 14), ("1" * 16, 16), ("0" * 13 + "1", 16),
+             ("1" + "0" * 11, 14), ("11110111", 13), ("000000", 6)]
+    want = {case: _oracle_rows(*case) for case in cases}
+    for rows in (8, 64, embedding._ROWS):
+        monkeypatch.setattr(embedding, "_ROWS", rows)
+        for x, n in cases:
+            got = [row for t, w in embedding.uncertainty_blocks(x, n) for row in zip(t, w)]
+            assert got == want[x, n], (x, n, rows)
+    monkeypatch.undo()
+    # past the all-text oracle: the support and mass identities, per-text
+    # counts, and lexicographic order
+    for x, n in (("1" * 20, 20), ("0" * 19 + "1", 20), ("1" + "0" * 18, 20), ("1" * 24, 24)):
+        got = list(uncertainty_set(x, n))
+        assert len(got) == embedding._support_size(n, len(x))
+        assert sum(w for _, w in got) == total_masks(n, len(x))
+        assert [y for y, _ in got] == sorted(y for y, _ in got)
+        assert all(count_embeddings(x, y) == w for y, w in got)
+
+
 def test_uncertainty_blocks_memory():
     # the stream holds two half tables and one block, whatever n is
     import tracemalloc

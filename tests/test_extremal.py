@@ -217,6 +217,38 @@ def test_entropy_min_m3_sweep():
         assert res.finding is None
 
 
+def test_entropy_rows_equal_per_pattern_entropies():
+    from delentropy import shannon_entropy
+
+    for m in range(1, 8):
+        for n in range(m, 14):
+            want = [(x, shannon_entropy(x, n)) for x in all_bitstrings(m)]
+            assert extremal._entropy_rows(n, m, None) == want
+
+
+def test_one_histogram_per_orbit(monkeypatch):
+    # 20 orbits of {x, ~x, rev x, ~rev x} at m = 6, 6 at m = 4
+    from delentropy import entropy
+    from delentropy.core import orbit_representative
+
+    seen = []
+    real = entropy.exact_histogram
+
+    def counting(x, n, **kwargs):
+        seen.append((x, n))
+        return real(x, n, **kwargs)
+
+    monkeypatch.setattr(entropy, "exact_histogram", counting)
+    ordering_table(11, 6)
+    assert len(seen) == len(set(seen)) == 20
+    assert all(orbit_representative(x) == x for x, _ in seen)
+    seen.clear()
+    check_entropy_min(4, range(8, 13))
+    assert sorted(seen) == sorted(
+        (x, n) for n in range(8, 13) for x in ("0000", "0001", "0010", "0011", "0101", "0110")
+    )
+
+
 def test_entropy_min_guard_before_work(monkeypatch):
     def no_entropy(*args, **kwargs):
         raise AssertionError("entropy computed before the guard refusal")
@@ -224,6 +256,19 @@ def test_entropy_min_guard_before_work(monkeypatch):
     monkeypatch.setattr(extremal, "shannon_entropy", no_entropy)
     with pytest.raises(CapacityError, match="2\\^33 texts"):
         check_entropy_min(3, range(8, 34))
+    # a range is refused on its endpoints, never materialized
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="2\\^1000000000000 texts"):
+            check_entropy_min(4, range(8, 10**12 + 1))
+        with pytest.raises(CapacityError, match="2\\^31 texts"):
+            check_entropy_min(4, range(31, 7, -1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_entropy_min_degenerate_all_tie():
