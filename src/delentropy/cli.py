@@ -15,11 +15,14 @@ The capacity bounds behind exit 3:
 * n <= 62 for exact enumeration whatever the guard, so weights and
   multiplicities fit int64;
 * m <= 30 for the kappa2 scans and ``kappa --all``;
+* m <= 16 for ``table``, which ranks all 2^m patterns;
 * 2^27 cell-steps for an exact moment tensor (``moments``, ``gaussian``,
-  ``entropy --mode estimate``);
+  ``entropy --mode estimate``), summed over the n of a ``gaussian`` range
+  before any work;
 * 2^30 bytes for the dict the library's ``posterior()`` returns (the
   ``posterior`` subcommand streams its rows, so only the guard bounds it);
-* 2^30 bytes for one block of a sampled histogram (``hist --sample``);
+* 2^30 bytes for one block of a sampled histogram (``hist --sample``),
+  checked on the largest n of a range before any work;
 * the float range for asymptotic moments.
 """
 
@@ -195,9 +198,11 @@ def _cmd_hist(args) -> int:
     if len(ns) > 1:
         if args.out is None:
             raise ValueError("an n range needs --out DIR (one file per n)")
+        # refuse the whole range on its largest n before the first file
         if args.sample is None:
-            # refuse the whole range before the first file is written
             core.check_guard(ns[-1], args.guard)
+        else:
+            distribution.check_sample_block(ns[-1], len(x), args.sample)
     ext = "csv" if args.format == "csv" else "json"
     for n in ns:
         if args.sample is not None:
@@ -297,12 +302,15 @@ def _cmd_moments(args) -> int:
 def _cmd_gaussian(args) -> int:
     x = core.validate_pattern(args.pattern)
     ns = _parse_n_range(args.n)
-    rows = []
-    for n in ns:
-        diag = moments.gaussian_diagnostics(x, n)
-        rows.append((x, n, diag.skewness, diag.excess_kurtosis))
+    # the range's order-4 tensor steps, the sum of min(n, 4m) in closed form,
+    # are held to one call's cell-step bound before any work
+    m, lo, hi = len(x), ns[0], ns[-1]
+    t = max(lo - 1, min(hi, 4 * m))  # n = lo..t take n steps, the rest 4m each
+    moments.check_cell_steps(m, 4, (lo + t) * (t - lo + 1) // 2 + (hi - t) * 4 * m)
+    diags = ((n, moments.gaussian_diagnostics(x, n)) for n in ns)
+    blocks = ([(x, n, d.skewness, d.excess_kurtosis)] for n, d in diags)
     header = ["pattern", "n", "skewness", "excess_kurtosis"]
-    _write(args, _row_chunks(args, header, [rows]))
+    _write(args, _row_chunks(args, header, blocks))
     return EXIT_OK
 
 

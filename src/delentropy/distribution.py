@@ -20,7 +20,7 @@ from .embedding import (
     count_embeddings,
     total_masks,
 )
-from .moments import MomentSet
+from .moments import MomentSet, central_from_raw
 
 # Sample index s is drawn by PRNG stream s // _BLOCK; stream j is the raw
 # output of PCG64(seed).jumped(j) (see _stream_bits), so results depend on
@@ -167,6 +167,18 @@ def _stream_bits(seed: int, stream: int, size: int, n: int) -> np.ndarray:
     return bits
 
 
+def check_sample_block(n: int, m: int, sample_size: int) -> None:
+    """A CapacityError if one sample block of length-n texts, for a length-m
+    pattern, would need more than ``_BLOCK_BYTES``."""
+    block = min(_BLOCK, sample_size)
+    need = block * (2 * n + 16 * (m + 1))
+    if need > _BLOCK_BYTES:
+        raise core.CapacityError(
+            f"a sample block of {block} texts of length {n} needs {need} bytes, "
+            f"over the {_BLOCK_BYTES}-byte bound"
+        )
+
+
 def sample_histogram(
     x: str,
     n: int,
@@ -191,13 +203,7 @@ def sample_histogram(
         raise ValueError(f"text length {n} shorter than pattern length {m}")
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
-    block = min(_BLOCK, sample_size)
-    need = block * (2 * n + 16 * (m + 1))
-    if need > _BLOCK_BYTES:
-        raise core.CapacityError(
-            f"a sample block of {block} texts of length {n} needs {need} bytes, "
-            f"over the {_BLOCK_BYTES}-byte bound"
-        )
+    check_sample_block(n, m, sample_size)
     counts = _tally(
         np.unique(
             _count_block(x, n, seed, j, min(_BLOCK, sample_size - j * _BLOCK)),
@@ -216,19 +222,17 @@ def sample_histogram(
 
 
 def empirical_moments(hist: WeightHistogram) -> MomentSet:
-    """Mean and central moments 2..4 of a histogram, as exact rationals."""
+    """Mean and central moments 2..4 of a histogram, as exact rationals
+    from its exact power sums."""
     total = hist.total()
     if total == 0:
         raise ValueError("histogram is empty")
-    mean = Fraction(sum(w * c for w, c in hist.counts.items()), total)
-    central = {}
-    for r in (2, 3, 4):
-        central[r] = (
-            sum((Fraction(w) - mean) ** r * c for w, c in hist.counts.items()) / total
-        )
+    items = hist.counts.items()
+    raw = [Fraction(sum(w**j * c for w, c in items), total) for j in (1, 2, 3, 4)]
+    mean, mu2, mu3, mu4 = central_from_raw(raw)
     return MomentSet(
         mean=mean,
-        central=central,
+        central={2: mu2, 3: mu3, 4: mu4},
         provenance="exact" if hist.mode == "exact" else "empirical",
     )
 

@@ -17,10 +17,6 @@ from . import core
 from .entropy import shannon_entropy
 from .moments import _interleaving_table, kappa_max
 
-# float entropies for orbit-mates agree to rounding error; anything closer
-# than this relative tolerance counts as a tie
-_TIE_RTOL = 1e-9
-
 # The scan's int64 partial sums stay within +-4 * kappa_max(m): sum(M) is
 # kappa_max(m) = m C(2m-1, m), so each of 2|b| C(2m-1, m), 2 b'Mb and the
 # cross term 4 l'M_lh h is at most 2 * kappa_max(m).
@@ -73,7 +69,7 @@ class OrderingTable:
     Rows are (pattern, kappa_squared, shannon_bits), kappa descending and
     ties broken lexicographically.  ``violations`` lists every strict
     kappa pair whose entropies are not strictly reversed, and every
-    equal-kappa pair whose entropies differ beyond rounding error.
+    equal-kappa class whose entropies are not all equal.
     """
 
     n: int
@@ -210,13 +206,14 @@ def ordering_table(
     """Rank all 2^m patterns by autocorrelation and check the entropy order.
 
     For every pair with strictly larger kappa the entropy must be strictly
-    smaller; equal-kappa classes must agree in entropy to rounding error.
+    smaller; equal-kappa classes must agree in entropy exactly, which
+    decides ties exactly: equal histograms give bit-identical entropies.
     Failures land in ``violations``.
     """
     if m < 1:
         raise ValueError("pattern length must be >= 1")
     if m > 16:
-        raise ValueError("ordering table capped at m <= 16")
+        raise core.CapacityError(f"ordering table over 2^{m} patterns refused: m <= 16")
     if n < m:
         raise ValueError(f"text length {n} shorter than pattern length {m}")
     core.check_guard(n, guard)
@@ -229,52 +226,34 @@ def ordering_table(
 
 
 def _ordering_violations(rows) -> list[dict]:
-    groups: list[tuple[int, list[tuple[str, float]]]] = []
-    for x, k, h in rows:
-        if groups and groups[-1][0] == k:
-            groups[-1][1].append((x, h))
-        else:
-            groups.append((k, [(x, h)]))
-    violations: list[dict] = []
-    for k, members in groups:
-        hs = [h for _, h in members]
-        lo, hi = min(hs), max(hs)
-        if hi - lo > _TIE_RTOL * max(1.0, abs(hi)):
-            violations.append(
-                {
-                    "kind": "tie-mismatch",
-                    "kappa2": k,
-                    "patterns": [x for x, _ in members],
-                    "H_spread": hi - lo,
-                }
-            )
-    # strict pairs: every member of a higher-kappa group must have lower H
-    # than every member of every lower-kappa group
-    suffix_min: list[tuple[float, str]] = [None] * len(groups)
-    running = None
-    for i in range(len(groups) - 1, -1, -1):
-        best_here = min((h, x) for x, h in groups[i][1])
-        running = best_here if running is None else min(running, best_here)
-        suffix_min[i] = running
-    for i, (k, members) in enumerate(groups[:-1]):
-        min_later, _ = suffix_min[i + 1]
-        for x, h in members:
-            if h < min_later:
-                continue
-            for k2, later in groups[i + 1 :]:
-                for x2, h2 in later:
-                    if h >= h2:
-                        violations.append(
-                            {
-                                "kind": "ordering",
-                                "pattern_high": x,
-                                "pattern_low": x2,
-                                "kappa2_high": k,
-                                "kappa2_low": k2,
-                                "H_high": h,
-                                "H_low": h2,
-                            }
-                        )
+    """Tie mismatches, then strict-pair inversions, of rows sorted by
+    (-kappa2, pattern), in one pass.
+
+    A group is a run of equal kappa2.  A row can head an inversion only if
+    its H is not below the suffix minimum of H past its group; the later
+    rows with H_low <= H_high are then its inversions, in row order.
+    """
+    xs, ks, hs = zip(*rows)
+    h = np.array(hs)
+    starts = np.flatnonzero(np.r_[True, np.diff(ks) != 0])
+    ends = np.r_[starts[1:], len(rows)]
+    lo = np.minimum.reduceat(h, starts).tolist()
+    hi = np.maximum.reduceat(h, starts).tolist()
+    violations = [
+        dict(kind="tie-mismatch", kappa2=ks[s], patterns=list(xs[s:e]), H_spread=b - a)
+        for s, e, a, b in zip(starts.tolist(), ends.tolist(), lo, hi)
+        if b > a
+    ]
+    # later[i]: the first row past row i's group; suffix_min[j]: min H over j..
+    later = np.repeat(ends, ends - starts)
+    suffix_min = np.r_[np.minimum.accumulate(h[::-1])[::-1], np.inf]
+    for i in np.flatnonzero(h >= suffix_min[later]).tolist():
+        first = int(later[i])
+        for j in (first + np.flatnonzero(h[first:] <= h[i])).tolist():
+            violations.append(dict(
+                kind="ordering", pattern_high=xs[i], pattern_low=xs[j],
+                kappa2_high=ks[i], kappa2_low=ks[j], H_high=hs[i], H_low=hs[j],
+            ))
     return violations
 
 
@@ -304,8 +283,7 @@ def check_entropy_min(
     for n in n_values:
         rows = _entropy_rows(n, m, guard)
         best = min(h for _, h in rows)
-        tol = _TIE_RTOL * max(1.0, abs(best))
-        witnesses = sorted(x for x, h in rows if h <= best + tol)
+        witnesses = sorted(x for x, h in rows if h == best)
         results.append(
             ExtremalResult(
                 criterion="entropy-min",

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import core
 from .core import DegenerateDistributionError, binomial
-from .embedding import _extend, _pattern_bits
+from .embedding import _pattern_bits
 
 # Sorted tensor cells times DP steps raw_moments accepts: ~0.3 us each
 # (measured at m = 32..45, r = 4), ~40 s.
@@ -107,12 +107,7 @@ def raw_moments(x: str, n: int, rmax: int = 4) -> list[Fraction]:
     if not 1 <= rmax <= 4:
         raise ValueError("moment order must be in 1..4")
     steps = min(n, rmax * m)
-    cells = binomial(m + rmax, rmax)
-    if steps * cells > _MOMENT_CELL_STEPS:
-        raise core.CapacityError(
-            f"order-{rmax} moment tensor needs {steps} steps over {cells} cells "
-            f"= {steps * cells} cell-steps, above the bound {_MOMENT_CELL_STEPS}"
-        )
+    cells = check_cell_steps(m, rmax, steps)
     codes, dst, src, starts = _step_plan(_pattern_bits(x), rmax)
     # T is symmetric: E[W^j] sits at the sorted tuple (0, .., 0, m, .., m)
     # with j entries m, whose code is (m+1)^j - 1
@@ -130,12 +125,24 @@ def raw_moments(x: str, n: int, rmax: int = 4) -> list[Fraction]:
     return [Fraction(s, 1 << steps) for s in sums]
 
 
+def check_cell_steps(m: int, rmax: int, steps: int) -> int:
+    """The C(m+rmax, rmax) cells of the order-rmax tensor of a length-m
+    pattern; a CapacityError if ``steps`` steps over them pass 2^27."""
+    cells = binomial(m + rmax, rmax)
+    if steps * cells > _MOMENT_CELL_STEPS:
+        raise core.CapacityError(
+            f"order-{rmax} moment tensor needs {steps} steps over {cells} cells "
+            f"= {steps * cells} cell-steps, above the bound {_MOMENT_CELL_STEPS}"
+        )
+    return cells
+
+
 def _step_plan(xb: np.ndarray, r: int):
     """The step (U T)[i] = sum_b sum_S T[sort(i - e_S)] on sorted r-tuples.
 
     S runs over the nonempty sets of axes whose index may step back under
-    symbol b, the rule ``_extend`` applies to an identity block; U's -2I
-    cancels the two empty sets.  Returns (codes, dst, src, starts): the
+    symbol b: index i > 0 may when x_i = b, as in c_i += [x_i = b] * c_{i-1};
+    U's -2I cancels the two empty sets.  Returns (codes, dst, src, starts): the
     base-(m+1) codes of the cells in lexicographic (increasing) order, the
     cells that receive a term, and the source cells of their terms grouped
     by destination, group g starting at starts[g].
@@ -151,9 +158,7 @@ def _step_plan(xb: np.ndarray, r: int):
     codes = cells @ place
     dst, src = [], []
     for b in (0, 1):
-        back = np.eye(m + 1, dtype=np.int64)
-        _extend(back, b, xb)
-        may = np.concatenate(([False], np.diagonal(back, -1) == 1))[cells]
+        may = np.r_[False, xb == b][cells]
         for subset in range(1, 1 << r):
             axes = [a for a in range(r) if subset >> a & 1]
             rows = np.flatnonzero(may[:, axes].all(axis=1))

@@ -130,3 +130,47 @@ def pascal_triangle(rows: int) -> list:
             [1] + [prev[k - 1] + prev[k] for k in range(1, n)] + [1]
         )
     return tri
+
+
+def brute_ordering_violations(rows) -> list:
+    """Tie mismatches, then inverted strict pairs, of rows sorted by
+    (-kappa2, pattern), by comparing every pair of rows."""
+    ties = []
+    for k in dict.fromkeys(k for _, k, _ in rows):
+        members = [(x, h) for x, k2, h in rows if k2 == k]
+        hs = [h for _, h in members]
+        if max(hs) != min(hs):
+            ties.append(
+                {
+                    "kind": "tie-mismatch",
+                    "kappa2": k,
+                    "patterns": [x for x, _ in members],
+                    "H_spread": max(hs) - min(hs),
+                }
+            )
+    pairs = [
+        {
+            "kind": "ordering",
+            "pattern_high": x,
+            "pattern_low": x2,
+            "kappa2_high": k,
+            "kappa2_low": k2,
+            "H_high": h,
+            "H_low": h2,
+        }
+        for x, k, h in rows
+        for x2, k2, h2 in rows
+        if k > k2 and h >= h2
+    ]
+    return ties + pairs
+
+
+def per_class_central_moments(counts: dict) -> tuple:
+    """(mean, mu2, mu3, mu4) of a weight histogram, one exact Fraction term
+    (w - mean)^r * c per weight class."""
+    total = sum(counts.values())
+    mean = Fraction(sum(w * c for w, c in counts.items()), total)
+    return (mean,) + tuple(
+        sum((Fraction(w) - mean) ** r * c for w, c in counts.items()) / total
+        for r in (2, 3, 4)
+    )

@@ -203,6 +203,12 @@ def test_huge_range_refused_at_once(tmp_path, capsys):
         code, _, err = run(capsys, "extremal", "--criterion", "entropy-min", "4",
                            "--n-range", "8..1000000000000", "--out", str(dest))
         assert code == 3 and err.startswith("capacity error:") and "2^1000000000000" in err
+        code, _, err = run(capsys, "gaussian", "01", "5..1000000000000", "--out", str(dest))
+        assert code == 3 and err.startswith("capacity error:")
+        assert "cell-steps" in err and "134217728" in err
+        code, _, err = run(capsys, "hist", "01", "5..1000000000000", "--sample", "10",
+                           "--seed", "1", "--out", str(dest))
+        assert code == 3 and err.startswith("capacity error:") and "bytes" in err
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -357,6 +363,10 @@ def test_capacity_exit(capsys):
         (["moments", wide, "1000", "--r", "4"], "134217728"),
         (["entropy", wide, "1000", "--mode", "estimate"], "134217728"),
         (["gaussian", wide, "1000"], "134217728"),
+        # each n of the range fits on its own, but their steps are summed:
+        # 17462 steps over C(36, 4) cells for a 32-bit pattern
+        (["gaussian", wide[:32], "5..200"], "134217728"),
+        (["table", "20", "17"], "2^17 patterns"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 3 and err.startswith("capacity error:")

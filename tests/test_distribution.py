@@ -111,6 +111,25 @@ def test_empirical_mean_is_expected_count():
                 assert ms.mean == Fraction(math.comb(n, m), 1 << m)
 
 
+def test_empirical_moments_match_per_class_formula():
+    from delentropy import WeightHistogram
+
+    hists = [exact_histogram(x, n) for x, n in [("01", 9), ("0110", 14), ("1", 3)]]
+    hists += [
+        sample_histogram("0110", 20, 3000, seed=5),
+        sample_histogram("01" * 16 + "0", 66, 40, seed=3),  # big-int path
+        WeightHistogram(
+            pattern="01", text_length=66, counts={0: 5, 2**64 + 1: 2, 2**70: 1},
+            mode="sampled", sample_size=8, seed=0,
+        ),
+    ]
+    assert max(hists[-2].counts) ** 4 >= 2**63  # power sums pass int64
+    for hist in hists:
+        ms = empirical_moments(hist)
+        got = (ms.mean, ms.central[2], ms.central[3], ms.central[4])
+        assert got == oracles.per_class_central_moments(hist.counts)
+
+
 def test_empirical_moments_match_moment_dp():
     from delentropy import exact_moment_set
 

@@ -22,6 +22,8 @@ from delentropy.extremal import (
     kappa_blocks,
 )
 
+import oracles
+
 
 def test_verify_kappa_max_small():
     res = verify_kappa_max(1)
@@ -194,6 +196,55 @@ def test_ordering_table_degenerate_n_equals_m():
     assert all(h == 0.0 for _, _, h in table.rows)
     # all entropies tie at 0, so strict kappa pairs cannot order
     assert not table.ordering_ok
+
+
+def _ranked(rows):
+    return sorted(rows, key=lambda row: (-row[1], row[0]))
+
+
+def test_ordering_violations_match_all_pairs_on_random_rows():
+    # few kappa2 values and few H values: ties within groups, exactly equal
+    # H across groups, and inversions all occur
+    rng = np.random.default_rng(10)
+    for _ in range(300):
+        size = int(rng.integers(1, 48))
+        patterns = [format(int(v), "06b") for v in rng.permutation(64)[:size]]
+        kappas = rng.integers(0, int(rng.integers(1, 8)), size).tolist()
+        hs = rng.choice([0.0, 0.25, 0.5, 1.0, 2.5], size).tolist()
+        rows = _ranked(zip(patterns, kappas, hs))
+        assert extremal._ordering_violations(rows) == oracles.brute_ordering_violations(rows)
+
+
+def test_ordering_violations_match_all_pairs_on_edge_rows():
+    ordered = [("a", 9, 0.5), ("b", 7, 1.0), ("c", 7, 1.0), ("d", 2, 3.0)]
+    one_group = [("a", 4, 1.0), ("b", 4, 1.0), ("c", 4, 2.0)]
+    equal_across = [("a", 9, 1.0), ("b", 8, 1.0), ("c", 7, 1.0)]
+    for rows in (ordered, one_group, equal_across, ordered[:1]):
+        assert extremal._ordering_violations(rows) == oracles.brute_ordering_violations(rows)
+    assert extremal._ordering_violations(ordered) == []
+    assert [v["kind"] for v in extremal._ordering_violations(one_group)] == ["tie-mismatch"]
+    assert len(extremal._ordering_violations(equal_across)) == 3
+
+
+def test_ordering_violations_match_all_pairs_on_real_tables():
+    for m in range(1, 9):
+        for n in (m, m + 2, m + 4):
+            table = ordering_table(n, m)
+            assert table.violations == oracles.brute_ordering_violations(table.rows)
+
+
+def test_ties_are_decided_exactly(monkeypatch):
+    # one ulp apart is not a tie: equal histograms give bit-identical floats
+    h = 2.0
+    ulp = float(np.nextafter(h, 3.0))
+    rows = [("00", 6, h), ("11", 6, ulp), ("01", 2, 3.0)]
+    (tie,) = extremal._ordering_violations(rows)
+    assert tie["kind"] == "tie-mismatch" and tie["H_spread"] == ulp - h
+    monkeypatch.setattr(
+        extremal, "_entropy_rows", lambda n, m, guard: [("00", h), ("01", ulp), ("11", h)]
+    )
+    (res,) = check_entropy_min(2, [4])
+    assert res.value == h and res.witnesses == ["00", "11"]
 
 
 def test_ordering_table_workers_match_serial():
