@@ -17,8 +17,9 @@ The capacity bounds behind exit 3:
 * m <= 30 for the kappa2 scans and ``kappa --all``;
 * m <= 16 for ``table``, which ranks all 2^m patterns;
 * 2^27 cell-steps for an exact moment tensor (``moments``, ``gaussian``,
-  ``entropy --mode estimate``), summed over the n of a ``gaussian`` range
-  before any work;
+  ``entropy --mode estimate``); a ``gaussian`` range is costed before any
+  work as one tensor pass plus 4 * min(n, 4m) products per n when the full
+  pass fits, and as the sum of its per-n passes otherwise;
 * 2^30 bytes for the dict the library's ``posterior()`` returns (the
   ``posterior`` subcommand streams its rows, so only the guard bounds it);
 * 2^30 bytes for one block of a sampled histogram (``hist --sample``),
@@ -302,11 +303,7 @@ def _cmd_moments(args) -> int:
 def _cmd_gaussian(args) -> int:
     x = core.validate_pattern(args.pattern)
     ns = _parse_n_range(args.n)
-    # the range's order-4 tensor steps, the sum of min(n, 4m) in closed form,
-    # are held to one call's cell-step bound before any work
-    m, lo, hi = len(x), ns[0], ns[-1]
-    t = max(lo - 1, min(hi, 4 * m))  # n = lo..t take n steps, the rest 4m each
-    moments.check_cell_steps(m, 4, (lo + t) * (t - lo + 1) // 2 + (hi - t) * 4 * m)
+    moments.check_range_cell_steps(len(x), 4, ns)
     diags = ((n, moments.gaussian_diagnostics(x, n)) for n in ns)
     blocks = ([(x, n, d.skewness, d.excess_kurtosis)] for n, d in diags)
     header = ["pattern", "n", "skewness", "excess_kurtosis"]

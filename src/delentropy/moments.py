@@ -3,12 +3,14 @@
 Let W be the number of embeddings of a fixed pattern x (length m) in a
 uniform random text of length n.  This module computes:
 
-* exact raw and central moments of W up to order 4, by a tensor dynamic
-  program over r-tuples of embeddings grouped by the text positions they
-  cover, which stops after r * m steps (no text enumeration); the tensor
-  is symmetric, so it is stored and stepped on the C(m+r, r) sorted index
-  tuples only, at O(min(n, r*m) * nnz) big-int additions for a step plan
-  of nnz < 2^(r+1) * C(m+r, r) terms;
+* exact raw and central moments of W up to order 4, as polynomials in n
+  whose Newton coefficients come from a tensor dynamic program over
+  r-tuples of embeddings grouped by the text positions they cover, which
+  stops after r * m steps (no text enumeration); the tensor is symmetric,
+  so it is stored and stepped on the C(m+r, r) sorted index tuples only.
+  One pass of O(r*m * nnz) big-int additions, for a step plan of
+  nnz < 2^(r+1) * C(m+r, r) terms, runs once per (pattern, order) and is
+  cached; each n then costs O(r * r*m) big-int products;
 * the autocorrelation coefficient kappa^2(x): the number of ways to
   interleave two copies of x so that they share exactly one position
   carrying equal symbols;
@@ -35,6 +37,16 @@ from .embedding import _pattern_bits
 # Sorted tensor cells times DP steps raw_moments accepts: ~0.3 us each
 # (measured at m = 32..45, r = 4), ~40 s.
 _MOMENT_CELL_STEPS = 1 << 27
+
+# Newton coefficient tables are cached, one per (pattern, order, steps); the
+# bound keeps a scan over many patterns from holding every table for the life
+# of the process.  An entry holds r tuples of ``steps`` ints, zero for k < m,
+# of up to about r*m*log2(r) bits (8m at order 4): 3.4 KB at m = 10 and
+# 12 KB at m = 30, order 4 (sys.getsizeof).  The largest entries the
+# cell-step bound admits take about 90 KB (order 2 at m = 511 measured 89 KB;
+# order 1 at m = 11584 holds 11584 pointers), so a full cache stays under
+# about 12 MB.
+_NEWTON_CACHE = 128
 
 
 @dataclass
@@ -85,20 +97,19 @@ class GaussianDiagnostics:
 # ---------------------------------------------------------------------------
 
 def raw_moments(x: str, n: int, rmax: int = 4) -> list[Fraction]:
-    """E[W^j] for j = 1..rmax, exactly, in O(min(n, rmax*m) * nnz) big-int
-    additions, where nnz < 2^(rmax+1) * C(m+rmax, rmax) is the size of the
-    step plan.
+    """E[W^j] for j = 1..rmax, exactly.
 
     Appending symbol b maps each text's prefix counts by A_b = I + N_b
     (c_i += [x_i = b] * c_{i-1}), so sum_b A_b^(x rmax) = 2 + U on the
-    tensor of r-fold count products, and E[W^j] = sum_k C(n,k) U^k T0 / 2^k.
-    T = U^k T0 counts the rmax-tuples of prefix embeddings covering exactly
-    k text positions; each step advances an index, so T vanishes after
-    rmax * m steps.  T0 is symmetric and U commutes with permuting the axes,
-    so T is kept on the C(m+rmax, rmax) sorted index tuples only, as an
-    exact-int object vector, and one step is one gather and one
-    ``np.add.reduceat`` along the plan of ``_step_plan``.  More than 2^27
-    cell-steps is a CapacityError.
+    tensor of r-fold count products, and E[W^j] = sum_k C(n,k) t_jk / 2^k
+    with the Newton coefficients t_jk = (U^k T0)[corner_j] of
+    ``_newton_coefficients``.  They do not depend on n and vanish past
+    k = rmax * m, so one cached tensor pass per (pattern, order) serves every
+    n: the pass costs O(rmax*m * nnz) big-int additions, where
+    nnz < 2^(rmax+1) * C(m+rmax, rmax) is the size of the step plan, and each
+    n then costs O(rmax * rmax*m) big-int products.  When the full pass would
+    pass 2^27 cell-steps it runs min(n, rmax*m) steps for this n only, and
+    more than 2^27 cell-steps even then is a CapacityError.
     """
     core.validate_pattern(x)
     m = len(x)
@@ -106,35 +117,79 @@ def raw_moments(x: str, n: int, rmax: int = 4) -> list[Fraction]:
         raise ValueError(f"text length {n} shorter than pattern length {m}")
     if not 1 <= rmax <= 4:
         raise ValueError("moment order must be in 1..4")
-    steps = min(n, rmax * m)
-    cells = check_cell_steps(m, rmax, steps)
-    codes, dst, src, starts = _step_plan(_pattern_bits(x), rmax)
-    # T is symmetric: E[W^j] sits at the sorted tuple (0, .., 0, m, .., m)
-    # with j entries m, whose code is (m+1)^j - 1
-    corners = np.searchsorted(codes, (m + 1) ** np.arange(1, rmax + 1) - 1)
-    tensor = np.zeros(cells, dtype=object)
+    steps = rmax * m
+    if steps * binomial(m + rmax, rmax) > _MOMENT_CELL_STEPS:
+        steps = min(n, steps)
+        check_cell_steps(m, rmax, steps)
+    rows = _newton_coefficients(x, rmax, steps)
+    scales, scale = [], 1 << steps
+    for k in range(1, min(n, steps) + 1):
+        scale = scale * (n - k + 1) // (2 * k)  # C(n, k) * 2^(steps - k)
+        scales.append(scale)
+    return [Fraction(sum(map(operator.mul, scales, row)), 1 << steps) for row in rows]
+
+
+@functools.lru_cache(maxsize=_NEWTON_CACHE)
+def _newton_coefficients(x: str, r: int, steps: int) -> tuple[tuple[int, ...], ...]:
+    """t_jk = (U^k T0)[corner_j] for j = 1..r (rows) and k = 1..steps.
+
+    T = U^k T0 counts the r-tuples of prefix embeddings covering exactly
+    k text positions; each step advances an index, so T vanishes after
+    r * m steps.  T0 is symmetric and U commutes with permuting the axes,
+    so T is kept on the C(m+r, r) sorted index tuples only, as an exact-int
+    object vector, and one step is one gather and one ``np.add.reduceat``
+    along the plan of ``_step_plan``.  t_jk sits at the sorted tuple
+    (0, .., 0, m, .., m) with j entries m, whose code is (m+1)^j - 1.
+    """
+    m = len(x)
+    codes, dst, src, starts = _step_plan(_pattern_bits(x), r)
+    corners = np.searchsorted(codes, (m + 1) ** np.arange(1, r + 1) - 1)
+    tensor = np.zeros(len(codes), dtype=object)
     tensor[0] = 1  # empty text: c = (1, 0, ..., 0)
-    sums = [0] * rmax
-    for k in range(1, steps + 1):
-        nxt = np.zeros(cells, dtype=object)
+    rows = []
+    for _ in range(steps):
+        nxt = np.zeros(len(codes), dtype=object)
         nxt[dst] = np.add.reduceat(tensor[src], starts)
         tensor = nxt
-        scale = binomial(n, k) << (steps - k)
-        for j in range(rmax):
-            sums[j] += scale * tensor[corners[j]]
-    return [Fraction(s, 1 << steps) for s in sums]
+        rows.append(tensor[corners].tolist())
+    return tuple(zip(*rows))
 
 
-def check_cell_steps(m: int, rmax: int, steps: int) -> int:
-    """The C(m+rmax, rmax) cells of the order-rmax tensor of a length-m
-    pattern; a CapacityError if ``steps`` steps over them pass 2^27."""
+def check_cell_steps(m: int, rmax: int, steps: int) -> None:
+    """A CapacityError if ``steps`` steps over the C(m+rmax, rmax) cells of
+    the order-rmax tensor of a length-m pattern pass 2^27."""
     cells = binomial(m + rmax, rmax)
     if steps * cells > _MOMENT_CELL_STEPS:
         raise core.CapacityError(
             f"order-{rmax} moment tensor needs {steps} steps over {cells} cells "
             f"= {steps * cells} cell-steps, above the bound {_MOMENT_CELL_STEPS}"
         )
-    return cells
+
+
+def check_range_cell_steps(m: int, rmax: int, ns: range) -> None:
+    """A CapacityError, before any work, if the order-rmax moments of a
+    length-m pattern at every n of ``ns`` pass 2^27 cell-steps.
+
+    When the full pass of r*m steps fits, ``raw_moments`` runs it once and
+    every n reuses its coefficients: the range costs that pass plus
+    rmax * min(n, rmax*m) products per n, counted at the largest n.
+    Otherwise each n runs its own min(n, rmax*m) steps, summed in closed form.
+    """
+    full = rmax * m
+    lo, hi = ns[0], ns[-1]
+    cells = binomial(m + rmax, rmax)
+    if full * cells > _MOMENT_CELL_STEPS:
+        t = max(lo - 1, min(hi, full))  # n = lo..t take n steps, the rest r*m each
+        check_cell_steps(m, rmax, (lo + t) * (t - lo + 1) // 2 + (hi - t) * full)
+        return
+    evals = len(ns) * rmax * min(hi, full)
+    if full * cells + evals > _MOMENT_CELL_STEPS:
+        raise core.CapacityError(
+            f"order-{rmax} moments at n = {lo}..{hi} need {full} steps over "
+            f"{cells} cells plus {len(ns)} evaluations of {rmax * min(hi, full)} "
+            f"products = {full * cells + evals} cell-steps, above the bound "
+            f"{_MOMENT_CELL_STEPS}"
+        )
 
 
 def _step_plan(xb: np.ndarray, r: int):

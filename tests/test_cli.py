@@ -19,6 +19,7 @@ from delentropy import (
     kappa_squared,
     min_entropy,
     moment_entropy_estimate,
+    moments,
     ordering_table,
     posterior,
     renyi2_entropy,
@@ -363,14 +364,36 @@ def test_capacity_exit(capsys):
         (["moments", wide, "1000", "--r", "4"], "134217728"),
         (["entropy", wide, "1000", "--mode", "estimate"], "134217728"),
         (["gaussian", wide, "1000"], "134217728"),
-        # each n of the range fits on its own, but their steps are summed:
-        # 17462 steps over C(36, 4) cells for a 32-bit pattern
-        (["gaussian", wide[:32], "5..200"], "134217728"),
+        # the 240-step full pass does not fit, so each n runs its own pass
+        # and their steps are summed: 19910 steps over C(64, 4) cells
+        (["gaussian", wide, "5..200"], "134217728"),
+        # one 12-step pass, then 4 * 12 products for each of ~10^9 n
+        (["gaussian", "011", "10..1000000000"], "134217728"),
         (["table", "20", "17"], "2^17 patterns"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 3 and err.startswith("capacity error:")
         assert bound in err and "Traceback" not in err
+
+
+def test_gaussian_range_reuses_one_pass(capsys):
+    moments._newton_coefficients.cache_clear()
+    code, out, _ = run(capsys, "gaussian", "0110100110", "10..24")
+    assert code == 0 and len(out.splitlines()) == 16
+    assert moments._newton_coefficients.cache_info().misses == 1
+
+
+def test_gaussian_range_costed_as_one_pass(capsys):
+    # 1937 n of a 16-bit pattern: summed per-n passes would be 123968 steps
+    # over C(20, 4) cells, but one 64-step pass plus the evaluations fits
+    x = "0110100111001011"
+    code, out, err = run(capsys, "gaussian", x, "64..2000")
+    assert code == 0, err
+    moments._newton_coefficients.cache_clear()
+    rows = [(x, n, d.skewness, d.excess_kurtosis)
+            for n in range(64, 2001) for d in [gaussian_diagnostics(x, n)]]
+    header = ["pattern", "n", "skewness", "excess_kurtosis"]
+    assert out == _reference_text("csv", False, header, rows, {})
 
 
 def test_deterministic_output(capsys):

@@ -17,11 +17,17 @@ from delentropy import (
     kappa_decomposition,
     kappa_max,
     kappa_squared,
+    moments,
     raw_moments,
     variance_coefficient,
 )
 from delentropy.core import CapacityError, DegenerateDistributionError
-from delentropy.moments import MomentSet, diagnostics_from_moments, interleaving_matrix
+from delentropy.moments import (
+    MomentSet,
+    _newton_coefficients,
+    diagnostics_from_moments,
+    interleaving_matrix,
+)
 
 import oracles
 
@@ -100,6 +106,58 @@ def test_second_moment_newton_coefficients():
                     (-1) ** (k - i) * math.comb(k, i) * values[i] for i in range(k + 1)
                 )
                 assert diff * (1 << k) == want, (x, k)
+    # the same two coefficients read straight from the tensor pass
+    for m in range(1, 11):
+        for x in ("".join(p) for p in itertools.product("01", repeat=m)):
+            second = _newton_coefficients(x, 2, 2 * m)[1]
+            assert second[2 * m - 2] == kappa_squared(x), x
+            assert second[2 * m - 1] == math.comb(2 * m, m), x
+
+
+def test_newton_coefficients_serve_every_n():
+    # one pass per (pattern, order) serves n < r*m, n = r*m and n > r*m, in
+    # either order, cold or warm, with the same Fractions as enumeration
+    cases = [(x, r) for x in ("0", "01", "011", "010") for r in (1, 2, 3, 4)]
+    cases += [("0110", 2), ("01011", 2), ("0110", 3)]
+    want = {}
+    for x in {x for x, _ in cases}:
+        for n in range(len(x), 14):
+            want[x, n] = (_power_sums(x, n, 4) if n > 9
+                          else oracles.brute_raw_moments(x, n, 4))
+    _newton_coefficients.cache_clear()
+    for x, r in cases:
+        m = len(x)
+        assert r * m <= 12
+        ns = list(range(13, m - 1, -1))
+        for n in ns + ns[::-1]:
+            assert raw_moments(x, n, r) == want[x, n][:r], (x, n, r)
+        with pytest.raises(ValueError):
+            raw_moments(x, m - 1, r)
+    info = _newton_coefficients.cache_info()
+    assert info.misses == len(cases) and info.currsize == len(cases)
+
+
+def test_over_budget_pass_runs_min_n_steps(monkeypatch):
+    # past the cell-step bound the pass stops at min(n, r*m) steps for each
+    # n: the same Fractions, and a refusal exactly when those steps do not fit
+    cases = [("0110", 4, 700), ("0110100", 3, 1000), ("01011", 2, 120), ("011", 4, 300)]
+    want = {(x, n, r): raw_moments(x, n, r)
+            for x, r, _ in cases for n in range(len(x), 4 * len(x) + 3)}
+    _newton_coefficients.cache_clear()
+    for x, r, budget in cases:
+        monkeypatch.setattr(moments, "_MOMENT_CELL_STEPS", budget)
+        m, cells = len(x), math.comb(len(x) + r, r)
+        assert r * m * cells > budget  # the full pass does not fit
+        for n in range(m, 4 * m + 3):
+            if min(n, r * m) * cells > budget:
+                with pytest.raises(CapacityError, match=f"cell-steps, above the bound {budget}"):
+                    raw_moments(x, n, r)
+            else:
+                assert raw_moments(x, n, r) == want[(x, n, r)], (x, n, r)
+    # each accepted n ran its own pass
+    accepted = sum(min(n, r * len(x)) * math.comb(len(x) + r, r) <= budget
+                   for x, r, budget in cases for n in range(len(x), 4 * len(x) + 3))
+    assert 0 < _newton_coefficients.cache_info().misses == accepted
 
 
 def test_moment_order_contract():
