@@ -5,6 +5,12 @@ a hard error; the autocorrelation minimum and the finite-length entropy
 minimum are evidence-gathering scans whose deviations are reported as
 findings, never silently absorbed.  Every ``workers`` argument is accepted
 for compatibility and ignored.
+
+``kappa_blocks`` is the one kappa2 kernel behind both autocorrelation
+scans, the ordering table's kappa2 column and ``kappa --all``.  It writes
+kappa2 of a pattern with high field h, middle field u and low field v as a
+table over (u, v), formed once per scan, plus one row in u and one row in v
+per h, so each pattern costs two int64 additions.
 """
 
 from __future__ import annotations
@@ -17,16 +23,23 @@ from . import core
 from .entropy import shannon_entropy
 from .moments import _interleaving_table, kappa_max
 
-# The scan's int64 partial sums stay within +-4 * kappa_max(m): sum(M) is
-# kappa_max(m) = m C(2m-1, m), so each of 2|b| C(2m-1, m), 2 b'Mb and the
-# cross term 4 l'M_lh h is at most 2 * kappa_max(m).
+# The scan's int64 values stay within +-4 * kappa_max(m).  M >= 0 entrywise
+# and sum(M) = kappa_max(m) = m C(2m-1, m), so for 0/1 fields f, g of
+# disjoint positions f'M_fg g + g'M_gf f <= kappa_max(m).  Of the three
+# partial terms (see kappa_blocks), table[u, v] is the kappa2 of the pattern
+# with h = 0, in [0, kappa_max(m)]; row_u[h, u] = own(h) + 4 h'M_hu u lies
+# in [-2c|h|, 2 (h'M_hh h + 2 h'M_hu u)], within +-2 * kappa_max(m); and
+# row_v[h, v] = 4 h'M_hv v is in [0, 2 * kappa_max(m)].  The sums that form
+# them, and table + row_u, stay within +-3 * kappa_max(m).
 # 4 * kappa_max(30) = 7.1e18 < 2^63.
 _KAPPA_M_MAX = 30
 
 # Patterns per block of the kappa2 scan, a power of two: a block holds the
-# patterns sharing their high bits and running over all log2(_KAPPA_BLOCK)
-# low bits.  Larger blocks raise peak memory without making the scan faster.
-_KAPPA_BLOCK = 1 << 11
+# patterns sharing their high field and running over all log2(_KAPPA_BLOCK)
+# low bits.  At 2^13 a block's int64 arrays are 64 KiB; 2^14 blocks scan
+# m = 24 faster (0.053 s against 0.063 s) but m = 15 slower (0.7 ms
+# against 0.3 ms), and 2^15 and 2^16 blocks are slower from m = 15 on.
+_KAPPA_BLOCK = 1 << 13
 
 
 class ExtremalInvariantError(Exception):
@@ -91,17 +104,43 @@ def alternating_patterns(m: int) -> list[str]:
     return sorted({a, core.complement(a)})
 
 
+def _bit_rows(values: np.ndarray, width: int) -> np.ndarray:
+    """The 0/1 int64 (len(values), width) bit rows of values, most
+    significant bit first."""
+    return (values[:, None] >> np.arange(width - 1, -1, -1)) & 1
+
+
+def _subset_sums(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """out[f] = base + the sum of rows[i] over the bits i set in f, for every
+    len(rows)-bit field f (bit 0 the most significant), by doubling: one
+    addition per output entry."""
+    k = len(rows)
+    out = np.empty((1 << k, len(base)), dtype=np.int64)
+    out[0] = base
+    for j in range(k):
+        np.add(out[: 1 << j], rows[k - 1 - j], out=out[1 << j : 2 << j])
+    return out
+
+
 def kappa_blocks(m: int):
     """Yield (patterns, kappa2) int64 array blocks over all 2^m patterns.
 
-    Patterns are integer values in increasing (lexicographic) order.  With
-    symbols b in {0, 1} and M symmetric, [b_r = b_s] expands to
-    1 - b_r - b_s + 2 b_r b_s, and every row of M sums to c = C(2m-1, m), so
+    Patterns are integer values in increasing (lexicographic) order, and
+    every block holds min(_KAPPA_BLOCK, 2^m) of them.  With symbols b in
+    {0, 1} and M symmetric, [b_r = b_s] expands to 1 - b_r - b_s + 2 b_r b_s,
+    and every row of M sums to c = C(2m-1, m), so
     kappa2(b) = (m - 2|b|) c + 2 b'Mb.
-    Splitting b into its high bits h and its k = log2(_KAPPA_BLOCK) low bits
-    l, the terms in l alone are formed once for all l, and a block (one h)
-    adds a scalar in h and the cross term l @ (4 M_lh h): 2^k * k
-    multiply-adds per block instead of 2^k * m^2.
+    Cut b into a high field h, a middle field u of k1 bits and a low field v
+    of k2 bits, k1 + k2 = log2 of the block size, and write
+    own(f) = 2 f'M_ff f - 2c|f|.  Then kappa2 is the sum of
+      table[u, v] = m c + own(u) + own(v) + 4 u'M_uv v, formed once, its
+        sums over u by doubling;
+      row_u[h, u] = own(h) + 4 h'M_hu u;
+      row_v[h, v] = 4 h'M_hv v,
+    so the block of one h is table + row_u[h][:, None] + row_v[h]: two
+    additions per pattern.  The row terms come from small matmuls over the
+    bit rows of at most 2^k1 high values at a time, never of all 2^hi, so
+    no row array outgrows a block.
     """
     if m < 1:
         raise ValueError("pattern length must be >= 1")
@@ -113,18 +152,27 @@ def kappa_blocks(m: int):
     mat = np.array(_interleaving_table(m), dtype=np.int64)
     c = core.binomial(2 * m - 1, m)
     k = min(m, _KAPPA_BLOCK.bit_length() - 1)
-    hi = m - k
+    hi, k1 = m - k, k // 2
+    h_f, u_f, v_f = slice(0, hi), slice(hi, hi + k1), slice(hi + k1, m)
+    u_bits = _bit_rows(np.arange(1 << k1), k1)
+    v_bits = _bit_rows(np.arange(1 << (k - k1)), k - k1)
+
+    def own(bits, f):
+        return 2 * ((bits @ mat[f, f]) * bits).sum(axis=1) - 2 * c * bits.sum(axis=1)
+
+    table = _subset_sums(m * c + own(v_bits, v_f), 4 * mat[u_f, v_f] @ v_bits.T)
+    table += own(u_bits, u_f)[:, None]
+    to_u, to_v = 4 * mat[h_f, u_f] @ u_bits.T, 4 * mat[h_f, v_f] @ v_bits.T
     low = np.arange(1 << k)
-    lbits = (low[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    # base[l] = kappa2 of the pattern with high bits 0 and low bits l
-    quad = ((lbits @ mat[hi:, hi:]) * lbits).sum(axis=1)
-    base = (m - 2 * lbits.sum(axis=1)) * c + 2 * quad
-    mat_hh, cross = mat[:hi, :hi], 4 * mat[hi:, :hi]
-    shifts = np.arange(hi - 1, -1, -1)
-    for h in range(1 << hi):
-        b = (h >> shifts) & 1
-        scalar = 2 * int(b @ (mat_hh @ b) - c * b.sum())
-        yield low + (h << k), base + (scalar + lbits @ (cross @ b))
+    for start in range(0, 1 << hi, 1 << k1):
+        highs = np.arange(start, min(start + (1 << k1), 1 << hi))
+        h_bits = _bit_rows(highs, hi)
+        rows_u = h_bits @ to_u + own(h_bits, h_f)[:, None]
+        rows_v = h_bits @ to_v
+        for h, row_u, row_v in zip(highs.tolist(), rows_u, rows_v):
+            block = table + row_u[:, None]
+            block += row_v
+            yield low + (h << k), block.ravel()
 
 
 def _kappa_extremes(m: int):

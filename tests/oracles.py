@@ -132,6 +132,28 @@ def pascal_triangle(rows: int) -> list:
     return tri
 
 
+def single_overlap_interleavings(m: int) -> list:
+    """Every way to lay two copies of a length-m pattern on 2m - 1 positions,
+    each position covered, sharing exactly one, as (r, s): the shared
+    position is the r-th of the first copy and the s-th of the second."""
+    places = range(2 * m - 1)
+    out = []
+    for first in itertools.combinations(places, m):
+        rest = [p for p in places if p not in first]
+        for r, shared in enumerate(first):
+            second = sorted(rest + [shared])
+            out.append((r, second.index(shared)))
+    return out
+
+
+def brute_kappa_squared(x: str, interleavings=None) -> int:
+    """kappa2 by counting the single-overlap interleavings of two copies of x
+    whose shared position carries equal symbols."""
+    if interleavings is None:
+        interleavings = single_overlap_interleavings(len(x))
+    return sum(x[r] == x[s] for r, s in interleavings)
+
+
 def brute_ordering_violations(rows) -> list:
     """Tie mismatches, then inverted strict pairs, of rows sorted by
     (-kappa2, pattern), by comparing every pair of rows."""

@@ -65,8 +65,8 @@ def test_kappa_all(capsys):
 
 
 def test_kappa_all_json_lines(capsys):
-    # blocks of 2^11 patterns: m = 12 renders two chunks
-    for m in (3, 12):
+    # blocks of 2^13 patterns: m = 14 renders two chunks
+    for m in (3, 14):
         code, out, _ = run(capsys, "kappa", "--all", str(m), "--format", "json")
         assert code == 0
         assert out == "".join(

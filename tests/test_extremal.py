@@ -21,6 +21,7 @@ from delentropy.extremal import (
     constant_patterns,
     kappa_blocks,
 )
+from delentropy.moments import kappa_max
 
 import oracles
 
@@ -82,7 +83,7 @@ def test_kappa_blocks_match_kappa_squared(monkeypatch):
     }
     for m, kappas in want.items():
         sizes, got = _scan(m)
-        assert sizes == [1 << min(m, 11)] * (1 << max(0, m - 11))
+        assert sizes == [1 << min(m, 13)] * (1 << max(0, m - 13))
         assert (got == kappas).all(), m
     # small blocks: every m > 3 crosses many high-bit blocks
     monkeypatch.setattr(ex, "_KAPPA_BLOCK", 1 << 3)
@@ -90,6 +91,69 @@ def test_kappa_blocks_match_kappa_squared(monkeypatch):
         sizes, got = _scan(m)
         assert sizes == [1 << min(m, 3)] * (1 << max(0, m - 3))
         assert (got == kappas).all(), m
+
+
+@pytest.mark.parametrize("bits", [1, 2, 4, 5])
+def test_kappa_blocks_field_splits(monkeypatch, bits):
+    # block = 2^bits (2^3 is above): bits = 1 leaves no middle field
+    # (k1 = 0), m <= bits leaves no high field, and odd bits split unevenly
+    # (k2 = k1 + 1)
+    monkeypatch.setattr(extremal, "_KAPPA_BLOCK", 1 << bits)
+    for m in range(1, 12):
+        sizes, got = _scan(m)
+        assert sizes == [1 << min(m, bits)] * (1 << max(0, m - bits))
+        assert got.tolist() == [kappa_squared(x) for x in all_bitstrings(m)], m
+
+
+def test_kappa_matches_interleaving_count(monkeypatch):
+    # the oracle counts interleavings one by one; no interleaving table
+    for bits in (13, 2):
+        monkeypatch.setattr(extremal, "_KAPPA_BLOCK", 1 << bits)
+        for m in range(1, 8):
+            lays = oracles.single_overlap_interleavings(m)
+            assert len(lays) == kappa_max(m)
+            want = [oracles.brute_kappa_squared(x, lays) for x in all_bitstrings(m)]
+            assert [kappa_squared(x) for x in all_bitstrings(m)] == want, m
+            assert _scan(m)[1].tolist() == want, m
+
+
+def test_kappa_extremes_m17_to_20_pinned():
+    # values frozen from the per-block matvec scan this kernel replaced
+    mins = {17: 10218366630, 18: 42004911960, 19: 172427570700, 20: 706905276000}
+    for m, low in mins.items():
+        res = search_kappa_min(m)
+        assert (res.value, res.witnesses) == (low, alternating_patterns(m))
+        res = verify_kappa_max(m)
+        assert (res.value, res.witnesses) == (kappa_max(m), constant_patterns(m))
+    assert verify_kappa_max(20).value == 1378465288200
+
+
+def test_kappa_blocks_m30_first_blocks():
+    # at the largest admitted m the first block is the table alone (h = 0)
+    # and the second adds the row terms of h = 1
+    (v0, k0), (v1, k1) = itertools.islice(kappa_blocks(30), 2)
+    assert v0[0] == 0 and k0[0] == kappa_max(30)
+    assert v1[0] == len(v0) == extremal._KAPPA_BLOCK
+    rng = np.random.default_rng(30)
+    for v, k in ((v0, k0), (v1, k1)):
+        for i in rng.choice(len(v), 200, replace=False).tolist():
+            assert k[i] == kappa_squared(format(int(v[i]), "030b"))
+
+
+def test_search_kappa_min_memory():
+    # blocks of 2^13 int64 patterns: a few 64 KiB arrays live at once,
+    # never one over all 2^22 patterns (32 MiB) or all high fields
+    import tracemalloc
+
+    search_kappa_min(12)
+    tracemalloc.start()
+    try:
+        res = search_kappa_min(22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.witnesses == alternating_patterns(22)
+    assert peak < 1 << 20
 
 
 def test_search_workers_match_serial():
