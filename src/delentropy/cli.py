@@ -226,11 +226,15 @@ def _cmd_table(args) -> int:
         args.n, args.m, guard=args.guard, workers=args.workers
     )
     _write(args, _row_chunks(args, ["pattern", "kappa2", "H_bits"], [table.rows]))
-    if table.violations:
-        for v in table.violations:
-            print(f"finding: {json.dumps(v)}", file=sys.stderr)
-        return EXIT_FINDING
-    return EXIT_OK
+    return _report_findings(table.violations)
+
+
+def _report_findings(findings) -> int:
+    """Print each finding to stderr as ``finding: <json>``; EXIT_FINDING if
+    there are any, else EXIT_OK."""
+    for f in findings:
+        print(f"finding: {json.dumps(f)}", file=sys.stderr)
+    return EXIT_FINDING if findings else EXIT_OK
 
 
 def _extremal_chunks(args, results):
@@ -270,12 +274,7 @@ def _cmd_extremal(args) -> int:
             args.m, ns, guard=args.guard, workers=args.workers
         )
     _write(args, _extremal_chunks(args, results))
-    findings = [r.finding for r in results if r.finding]
-    if findings:
-        for f in findings:
-            print(f"finding: {json.dumps(f)}", file=sys.stderr)
-        return EXIT_FINDING
-    return EXIT_OK
+    return _report_findings([r.finding for r in results if r.finding])
 
 
 def _cmd_moments(args) -> int:

@@ -44,6 +44,15 @@ def validate_text(y: str) -> str:
     return y
 
 
+def check_lengths(m: int, n: int | None = None) -> int:
+    """Check 1 <= m, and m <= n when a text length n is given; return m."""
+    if m < 1:
+        raise ValueError("pattern length must be >= 1")
+    if n is not None and n < m:
+        raise ValueError(f"text length {n} shorter than pattern length {m}")
+    return m
+
+
 def check_guard(n: int, guard: int | None) -> None:
     if n > _MAX_EXACT_N:
         raise CapacityError(
@@ -100,8 +109,7 @@ def runs(s: str) -> list[tuple[str, int]]:
 
 def all_bitstrings(m: int):
     """Yield all length-m bitstrings in lexicographic order."""
-    if m < 1:
-        raise ValueError("length must be >= 1")
+    check_lengths(m)
     for v in range(1 << m):
         yield format(v, f"0{m}b")
 

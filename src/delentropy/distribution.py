@@ -197,10 +197,7 @@ def sample_histogram(
     There is no enumeration guard, so this extends histograms past it; a
     block needing more than ``_BLOCK_BYTES`` is refused before any draw.
     """
-    core.validate_pattern(x)
-    m = len(x)
-    if n < m:
-        raise ValueError(f"text length {n} shorter than pattern length {m}")
+    m = core.check_lengths(len(core.validate_pattern(x)), n)
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     check_sample_block(n, m, sample_size)

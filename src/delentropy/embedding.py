@@ -102,10 +102,7 @@ def prefix_table(x: str, k: int) -> np.ndarray:
 
 def total_masks(n: int, m: int) -> int:
     """Total embedding count over all length-n texts: C(n, m) * 2^(n-m)."""
-    if m < 1:
-        raise ValueError("pattern length must be >= 1")
-    if m > n:
-        raise ValueError(f"pattern length {m} exceeds text length {n}")
+    core.check_lengths(m, n)
     return core.binomial(n, m) * (1 << (n - m))
 
 
@@ -126,10 +123,7 @@ def bit_strings(values: np.ndarray, width: int) -> list[str]:
 def _validate(x: str, n: int, guard: int | None) -> int:
     """Check x and n for an enumeration of all 2^n texts, apply the guard,
     and return m."""
-    core.validate_pattern(x)
-    m = len(x)
-    if n < m:
-        raise ValueError(f"text length {n} shorter than pattern length {m}")
+    m = core.check_lengths(len(core.validate_pattern(x)), n)
     core.check_guard(n, guard)
     return m
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
+from . import core, embedding
 from .entropy import shannon_entropy
 from .moments import _interleaving_table, kappa_max
 
@@ -142,8 +142,7 @@ def kappa_blocks(m: int):
     bit rows of at most 2^k1 high values at a time, never of all 2^hi, so
     no row array outgrows a block.
     """
-    if m < 1:
-        raise ValueError("pattern length must be >= 1")
+    core.check_lengths(m)
     if m > _KAPPA_M_MAX:
         raise core.CapacityError(
             f"kappa2 scan over 2^{m} patterns refused: m <= {_KAPPA_M_MAX} "
@@ -175,29 +174,18 @@ def kappa_blocks(m: int):
             yield low + (h << k), block.ravel()
 
 
-def _kappa_extremes(m: int):
-    """(max, max witnesses, min, min witnesses) of kappa2 over all 2^m
-    patterns, keeping running extremes; witnesses are in lexicographic order."""
-    best_max = best_min = None
-    wits_max: list[int] = []
-    wits_min: list[int] = []
+def _kappa_extreme(m: int, largest: bool) -> tuple[int, list[str]]:
+    """(value, witnesses) of the largest or the smallest kappa2 over all 2^m
+    patterns: one reduction per block and one running witness list, so the
+    witnesses come out in lexicographic order."""
+    best, wits = None, []
     for v, k in kappa_blocks(m):
-        top, low = int(k.max()), int(k.min())
-        if best_max is None or top > best_max:
-            best_max, wits_max = top, []
-        if best_min is None or low < best_min:
-            best_min, wits_min = low, []
-        if top == best_max:
-            wits_max += v[k == top].tolist()
-        if low == best_min:
-            wits_min += v[k == low].tolist()
-    fmt = f"0{m}b"
-    return (
-        best_max,
-        [format(v, fmt) for v in wits_max],
-        best_min,
-        [format(v, fmt) for v in wits_min],
-    )
+        ext = int(k.max() if largest else k.min())
+        if best is None or (ext > best if largest else ext < best):
+            best, wits = ext, []
+        if ext == best:
+            wits.append(v[k == ext])
+    return best, embedding.bit_strings(np.concatenate(wits), m)
 
 
 def verify_kappa_max(m: int, *, workers: int = 1) -> ExtremalResult:
@@ -207,7 +195,7 @@ def verify_kappa_max(m: int, *, workers: int = 1) -> ExtremalResult:
     A deviation would falsify a proved statement, so it raises instead of
     being reported as a finding.
     """
-    best, witnesses, _, _ = _kappa_extremes(m)
+    best, witnesses = _kappa_extreme(m, largest=True)
     expected_value = kappa_max(m)
     expected = constant_patterns(m)
     if best != expected_value or witnesses != sorted(expected):
@@ -231,7 +219,7 @@ def search_kappa_min(m: int, *, workers: int = 1) -> ExtremalResult:
     whatever it finds and leaves the comparison to the caller (a deviation
     is a notable finding, not an error).
     """
-    _, _, best, witnesses = _kappa_extremes(m)
+    best, witnesses = _kappa_extreme(m, largest=False)
     return ExtremalResult(
         criterion="kappa-min",
         m=m,
@@ -258,12 +246,9 @@ def ordering_table(
     decides ties exactly: equal histograms give bit-identical entropies.
     Failures land in ``violations``.
     """
-    if m < 1:
-        raise ValueError("pattern length must be >= 1")
     if m > 16:
         raise core.CapacityError(f"ordering table over 2^{m} patterns refused: m <= 16")
-    if n < m:
-        raise ValueError(f"text length {n} shorter than pattern length {m}")
+    core.check_lengths(m, n)
     core.check_guard(n, guard)
     kappas = [k for _, block in kappa_blocks(m) for k in block.tolist()]
     rows = sorted(
@@ -316,17 +301,17 @@ def check_entropy_min(
 
     The constant patterns are predicted to minimize for large n; each result
     records whether they do at this n (deviations surface as findings).
-    The guard is checked on the largest n before any entropy is computed; a
-    range is not materialized for it, since its largest value is an end.
+    The guard is checked on the largest n, then the lengths on the smallest,
+    before any entropy is computed; a range is not materialized for them,
+    since its extremes are its ends.
     """
-    if m < 1:
-        raise ValueError("pattern length must be >= 1")
+    core.check_lengths(m)
     if isinstance(n_values, range):
-        top = max(n_values[0], n_values[-1]) if n_values else 0
+        ends = [n_values[0], n_values[-1]] if n_values else []
     else:
-        n_values = list(n_values)
-        top = max(n_values, default=0)
-    core.check_guard(top, guard)
+        ends = n_values = list(n_values)
+    core.check_guard(max(ends, default=0), guard)
+    core.check_lengths(m, min(ends, default=None))
     results = []
     for n in n_values:
         rows = _entropy_rows(n, m, guard)

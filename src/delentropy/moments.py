@@ -111,10 +111,7 @@ def raw_moments(x: str, n: int, rmax: int = 4) -> list[Fraction]:
     pass 2^27 cell-steps it runs min(n, rmax*m) steps for this n only, and
     more than 2^27 cell-steps even then is a CapacityError.
     """
-    core.validate_pattern(x)
-    m = len(x)
-    if n < m:
-        raise ValueError(f"text length {n} shorter than pattern length {m}")
+    m = core.check_lengths(len(core.validate_pattern(x)), n)
     if not 1 <= rmax <= 4:
         raise ValueError("moment order must be in 1..4")
     steps = rmax * m
@@ -294,8 +291,7 @@ def interleaving_matrix(m: int) -> list[list[int]]:
     _TABLE_CACHE are built once and cached; each call returns a fresh list
     of lists.
     """
-    if m < 1:
-        raise ValueError("pattern length must be >= 1")
+    core.check_lengths(m)
     return [list(row) for row in _interleavings(m)]
 
 
@@ -337,8 +333,7 @@ def kappa_decomposition(x: str) -> KappaDecomposition:
 def kappa_max(m: int) -> int:
     """Largest possible autocorrelation at length m: m * C(2m-1, m),
     attained exactly by the two constant patterns."""
-    if m < 1:
-        raise ValueError("pattern length must be >= 1")
+    core.check_lengths(m)
     return m * binomial(2 * m - 1, m)
 
 
@@ -356,8 +351,7 @@ def variance_coefficient(kappa2: int, m: int) -> int:
 def asymptotic_mean(n: int, m: int) -> float:
     """Leading term of E[W]: 2^(-m) * n^m / m!, rounded once from the exact
     ratio so that large n^m cannot overflow on the way."""
-    if m < 1 or n < m:
-        raise ValueError("need n >= m >= 1")
+    core.check_lengths(m, n)
     ratio = Fraction(n**m, (1 << m) * math.factorial(m))
     return _round_once(ratio, f"asymptotic mean at n={n}, m={m}")
 
@@ -370,8 +364,7 @@ def asymptotic_variance(n: int, m: int, kappa2: int) -> float:
     2 * kappa2 - m * C(2m-1, m), not kappa2 itself.  The value is rounded
     once from the exact ratio.
     """
-    if m < 1 or n < m:
-        raise ValueError("need n >= m >= 1")
+    core.check_lengths(m, n)
     coeff = variance_coefficient(kappa2, m)
     ratio = Fraction(
         coeff * n ** (2 * m - 1), (1 << (2 * m)) * math.factorial(2 * m - 1)

@@ -2,7 +2,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +20,7 @@ from delentropy import (
     exact_moment,
     exact_moment_set,
     gaussian_diagnostics,
+    kappa_decomposition,
     kappa_max,
     kappa_squared,
     min_entropy,
@@ -87,6 +93,16 @@ def test_kappa_decomposition(capsys):
     code, out, _ = run(capsys, "kappa", "01", "--decomposition")
     assert code == 0
     assert out == "# B\n1,0\n0,1\n# M\n2,1\n1,2\n# R\n2,0\n0,2\n# kappa2=4\n"
+    code, out, _ = run(capsys, "kappa", "0110", "--decomposition", "--format", "json")
+    dec = kappa_decomposition("0110")
+    assert code == 0
+    assert out == json.dumps({
+        "pattern": "0110", "m": dec.m, "kappa2": dec.kappa_squared,
+        "B": dec.symbol_mask, "M": dec.interleavings, "R": dec.masked,
+    }) + "\n"
+    code, out, err = run(capsys, "kappa", "--all", "3", "--decomposition")
+    assert (code, out) == (2, "")
+    assert err == "usage error: --decomposition needs a single pattern\n"
 
 
 def test_csv_json_equivalence(capsys):
@@ -275,6 +291,15 @@ def test_extremal_finding_exit_code(capsys, monkeypatch):
     assert "finding" in err
 
 
+def test_internal_error_exit(capsys, monkeypatch):
+    # a contradicted proved statement exits 1 with a message, not a traceback
+    monkeypatch.setattr(cli.extremal, "kappa_max", lambda m: -1)
+    code, out, err = run(capsys, "extremal", "--criterion", "kappa-max", "3")
+    assert (code, out) == (1, "")
+    assert err.startswith("internal error: autocorrelation maximum scan at m=3")
+    assert "Traceback" not in err
+
+
 def test_moments_exact(capsys):
     code, out, _ = run(capsys, "moments", "01", "4", "--r", "2")
     assert code == 0
@@ -396,6 +421,21 @@ def test_gaussian_range_costed_as_one_pass(capsys):
     assert out == _reference_text("csv", False, header, rows, {})
 
 
+def test_gaussian_range_costed_as_summed_passes(capsys, monkeypatch):
+    # with the full 28-step pass over C(11, 4) = 330 cells (9240 cell-steps)
+    # above the bound, n = 7..9 fit as their own passes: 24 steps, 7920
+    x = "0110100"
+    rows = [(x, n, d.skewness, d.excess_kurtosis)
+            for n in range(7, 10) for d in [gaussian_diagnostics(x, n)]]
+    monkeypatch.setattr(moments, "_MOMENT_CELL_STEPS", 8000)
+    moments._newton_coefficients.cache_clear()
+    code, out, err = run(capsys, "gaussian", x, "7..9")
+    assert code == 0, err
+    header = ["pattern", "n", "skewness", "excess_kurtosis"]
+    assert out == _reference_text("csv", False, header, rows, {})
+    assert moments._newton_coefficients.cache_info().misses == 3
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run(capsys, "table", "8", "4")
     _, second, _ = run(capsys, "table", "8", "4")
@@ -412,6 +452,30 @@ def test_repro_roundtrip(tmp_path, capsys):
     assert "table_n8_m5.csv" in files
     assert "fig1_hist_01_n05.csv" in files and "fig1_hist_01_n15.csv" in files
     assert "fig2_entropy_m5_n8.csv" in files
+
+
+def test_repro_reports_mismatch_and_missing(tmp_path, capsys, monkeypatch):
+    good = "fig1_hist_01_n05.csv"
+    text = resources.files("delentropy").joinpath("repro_expected", good).read_text()
+    files = {"table_n8_m5.csv": "pattern\n", "extra.csv": "", good: text}
+    monkeypatch.setattr(cli, "build_repro_files", lambda: files)
+    code, out, err = run(capsys, "repro", "--out", str(tmp_path))
+    assert code == 1
+    assert out == f"ok {good}\n"
+    assert err == "MISMATCH table_n8_m5.csv\nmissing expected file: extra.csv\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def test_module_entry_point_matches_main(capsys):
+    # perfbench runs the CLI as ``python -m delentropy.cli``
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for argv in (["kappa", "0110"], ["table", "10", "17"]):
+        proc = subprocess.run([sys.executable, "-m", "delentropy.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+    assert proc.returncode == 3
 
 
 def test_out_file_single(tmp_path, capsys):

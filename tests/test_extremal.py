@@ -13,7 +13,7 @@ from delentropy import (
     search_kappa_min,
     verify_kappa_max,
 )
-from delentropy import extremal
+from delentropy import cli, extremal
 from delentropy.core import CapacityError
 from delentropy.extremal import (
     ExtremalInvariantError,
@@ -371,6 +371,12 @@ def test_entropy_min_guard_before_work(monkeypatch):
     monkeypatch.setattr(extremal, "shannon_entropy", no_entropy)
     with pytest.raises(CapacityError, match="2\\^33 texts"):
         check_entropy_min(3, range(8, 34))
+    # then the lengths on its smallest n, wherever it sits
+    for ns in ([12, 3], range(12, 2, -1)):
+        with pytest.raises(ValueError, match="text length 3 shorter than pattern length 4"):
+            check_entropy_min(4, ns)
+    argv = ["extremal", "--criterion", "entropy-min", "4", "--n-range", "2..40"]
+    assert cli.main(argv) == 3
     # a range is refused on its endpoints, never materialized
     import tracemalloc
 
