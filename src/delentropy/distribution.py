@@ -3,6 +3,12 @@
 The histogram of W (embedding count of a fixed pattern in a uniform random
 text) includes the zero bin: texts that cannot produce the pattern are part
 of the text space even though they carry no posterior mass.
+
+Both histograms split each text at its midpoint, y = uv with |u| = n // 2,
+and form W(uv) = sum_i c_i(u) * s_i(v) from prefix counts of x in u and
+suffix counts of x in v: the exact one over all half-texts at once, the
+sampled one per drawn text, with each half counted in the narrowest
+integer type that holds it.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ import numpy as np
 
 from . import core
 from .embedding import (
-    _extend,
     _half_tables,
     _pattern_bits,
+    _prefix_counts,
     count_embeddings,
     total_masks,
 )
@@ -27,10 +33,16 @@ from .moments import MomentSet, central_from_raw
 # (seed, sample_size) alone.
 _BLOCK = 8192
 
-# A block holds its texts' bits twice, as raw stream bytes and as the
-# shifted (n, size) uint8 layout, and the int64 prefix table with one
-# step's product; sample_histogram refuses a block that would need more
-# bytes than this.
+# The draws one PCG64.jumped() step skips: (phi - 1) * 2^128, phi the golden
+# ratio, as numpy's PCG64 documents it.
+_JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+# A block holds its texts' bits twice while they are drawn, as raw stream
+# bytes and as the shifted (n, size) uint8 layout; then the bits, the int64
+# prefix-half table and, at worst, the int64 suffix-half table with one
+# step's bool mask and int64 product: under 2n + 25(m+1) bytes per text in
+# all (3548 of 3680 at x = "0" * 135, n = 140, by tracemalloc).
+# sample_histogram refuses a block that would need more bytes than this.
 _BLOCK_BYTES = 1 << 30
 
 # Pairs of half-text classes whose weights exact_histogram forms at once,
@@ -114,7 +126,7 @@ def _tally(blocks) -> dict[int, int]:
     int64.  Pending blocks are concatenated and merged once they hold at
     least _PAIRS entries and twice what the last merge kept, so memory
     stays O(distinct weights + _PAIRS) and each entry is re-sorted O(1)
-    times, amortized.
+    times, amortized.  A lone pending block is already merged.
     """
     pending, size, limit = [], 0, _PAIRS
     for block in blocks:
@@ -124,17 +136,25 @@ def _tally(blocks) -> dict[int, int]:
             pending = [_merge(*map(np.concatenate, zip(*pending)))]
             size = len(pending[0][0])
             limit = max(_PAIRS, 2 * size)
-    weights, mult = _merge(*map(np.concatenate, zip(*pending)))
+    if len(pending) > 1:
+        pending = [_merge(*map(np.concatenate, zip(*pending)))]
+    weights, mult = pending[0]
     return dict(zip(weights.tolist(), mult.tolist()))
 
 
 def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarray:
     """Weights of one PRNG stream's slice of the sample index space.
 
-    The texts are the columns of ``_stream_bits``.  Their weights come from
-    the int64 prefix table stepped by ``_extend``, or, when C(n, m) >= 2^62
-    could overflow int64, from ``count_embeddings`` per text as an object
-    array of exact ints (same bits).
+    The texts are the columns of ``_stream_bits``.  Each splits at its
+    midpoint as y = uv with |u| = h = n // 2, as in ``exact_histogram``:
+    W(uv) = sum_i c_i(u) * s_i(v), where c_i(u) counts x[:i] in u and
+    s_i(v) counts x[i:] in v.  The c_i are ``_prefix_counts`` of x over
+    bits[:h]; the s_i are ``_prefix_counts`` of reverse(x) over the
+    reversed bits[h:], rows flipped.  Each half walks in the narrowest
+    integer type that holds it, and the products are summed in int64.
+    When C(n, m) >= 2^62 could overflow int64, the weights come from
+    ``count_embeddings`` per text instead, as an object array of exact
+    ints (same bits).
     """
     bits = _stream_bits(seed, stream, size, n)
     m = len(x)
@@ -143,12 +163,16 @@ def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarra
             [count_embeddings(x, "".join(map(str, row.tolist()))) for row in bits.T],
             dtype=object,
         )
+    h = n // 2
     xb = _pattern_bits(x)
-    dp = np.zeros((m + 1, size), dtype=np.int64)
-    dp[0] = 1
-    for col in bits:
-        _extend(dp, col, xb)
-    return dp[m]
+    pre = _prefix_counts(xb, bits[:h])
+    # row j counts reverse(x)[:j] in reverse(v), that is s_(m-j)(v)
+    suf = _prefix_counts(xb[::-1], bits[h:][::-1])
+    # Half rows may pass 2^64 and wrap (C(70, 35) > 2^64 at x = "0" * 135,
+    # n = 140), but int64 arithmetic is exact mod 2^64 and W <= C(n, m) <
+    # 2^62, so the wrapped sum is W itself.
+    pre[::-1] *= suf
+    return pre.sum(axis=0)
 
 
 def _stream_bits(seed: int, stream: int, size: int, n: int) -> np.ndarray:
@@ -159,8 +183,11 @@ def _stream_bits(seed: int, stream: int, size: int, n: int) -> np.ndarray:
     ceil(size * n / 8)), the words read little-endian; these are the bits
     ``Generator.integers(0, 2, size=(size, n), dtype=np.uint8)`` draws.
     They are shifted straight into the layout the prefix table walks.
+    ``jumped(j)`` advances a copy by j * _JUMP draws; advancing PCG64(seed)
+    in place reaches the same state without the copy, which ``jumped``
+    first seeds from OS entropy (about half the cost of a one-text block).
     """
-    raw = np.random.PCG64(seed).jumped(stream).random_raw(-(-size * n // 8))
+    raw = np.random.PCG64(seed).advance(stream * _JUMP).random_raw(-(-size * n // 8))
     stream_bytes = raw.astype("<u8", copy=False).view(np.uint8)[: size * n]
     bits = np.empty((n, size), dtype=np.uint8)
     np.right_shift(stream_bytes.reshape(size, n).T, 7, out=bits)
@@ -171,10 +198,12 @@ def check_sample_block(n: int, m: int, sample_size: int) -> None:
     """A CapacityError if one sample block of length-n texts, for a length-m
     pattern, would need more than ``_BLOCK_BYTES``."""
     block = min(_BLOCK, sample_size)
-    need = block * (2 * n + 16 * (m + 1))
+    per_text = 2 * n + 25 * (m + 1)
+    need = block * per_text
     if need > _BLOCK_BYTES:
         raise core.CapacityError(
-            f"a sample block of {block} texts of length {n} needs {need} bytes, "
+            f"a sample block of {block} texts of length {n} needs {need} bytes "
+            f"({per_text} per text for a length-{m} pattern), "
             f"over the {_BLOCK_BYTES}-byte bound"
         )
 

@@ -9,7 +9,10 @@ is C(n, m) * 2^(n-m).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -79,9 +82,51 @@ def _pattern_bits(x: str) -> np.ndarray:
 
 
 def _extend(dp: np.ndarray, bits: np.ndarray, xb: np.ndarray) -> None:
-    """Append symbol bits[j] to text j of the int64 (m+1, N) prefix-count
+    """Append symbol bits[j] to text j of the integer (m+1, N) prefix-count
     table dp, in place; the product is formed from the old rows first."""
     dp[1:] += (bits == xb[:, None]) * dp[:-1]
+
+
+@lru_cache(maxsize=1024)
+def _rung_ends(m: int, steps: int) -> tuple[int, int, int]:
+    """The steps of a ``steps``-step walk of a length-m pattern that the
+    uint8, uint16 and uint32 rungs of ``_prefix_counts`` hold, as the
+    cumulative counts of steps done before each widening.
+
+    After s steps a count is at most max_{i <= m} C(s, i) =
+    C(s, min(m, s // 2)), which never decreases in s; a rung holds every
+    step whose bound is within its maximum.  Cached, since every block of
+    a sample walks the same two halves.
+    """
+    ends, s = [], 0
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        limit = np.iinfo(dtype).max
+        while s < steps and math.comb(s + 1, min(m, (s + 1) // 2)) <= limit:
+            s += 1
+        ends.append(s)
+    return tuple(ends)
+
+
+def _prefix_counts(xb: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The int64 (m+1, N) prefix-count table of pattern bits xb over the N
+    texts whose symbols are the rows of the (t, N) array bits.
+
+    The table is stepped by ``_extend`` in the narrowest type of the ladder
+    uint8 -> uint16 -> uint32 -> int64 that holds it, widened by one
+    ``astype`` at each of the ``_rung_ends``, so the unsigned rungs never
+    overflow.  The int64 rung is exact mod 2^64.
+    """
+    dp = np.zeros((len(xb) + 1, bits.shape[1]), dtype=np.uint8)
+    dp[0] = 1
+    cols, s = iter(bits), 0
+    for end, wider in zip(_rung_ends(len(xb), len(bits)), (np.uint16, np.uint32, np.int64)):
+        for col in islice(cols, end - s):
+            _extend(dp, col, xb)
+        s = end
+        dp = dp.astype(wider)
+    for col in cols:
+        _extend(dp, col, xb)
+    return dp
 
 
 def prefix_table(x: str, k: int) -> np.ndarray:

@@ -174,6 +174,8 @@ def _redrawn_histogram(x, n, sample_size, seed):
     [
         ("0110", 20, 8192 + 300, 11),  # int64 kernel, two streams
         ("0000", 30, 3 * 8192 + 77, 17),  # four streams, few distinct weights
+        ("011010011", 111, 1000, 23),  # odd n: halves of 55 and 56 reach int64
+        ("0" * 135, 140, 60, 29),  # half rows can pass 2^64; C(140, 135) < 2^62
         ("01" * 16 + "0", 66, 40, 3),  # C(66, 33) >= 2^62: big-int fallback
     ],
 )
@@ -186,7 +188,7 @@ def test_stream_bits_match_generator_integers():
     # bit k is the top bit of raw byte k; sizes with size * n % 8 != 0 leave
     # part of the last word unused
     for seed, stream, size, n in itertools.product(
-        (0, 1, 2024), (0, 1, 3), (1, 3, 7, 100, 8192), (1, 5, 8, 13, 64)
+        (0, 1, 2024), (0, 1, 3, 12), (1, 3, 7, 100, 8192), (1, 5, 8, 13, 64)
     ):
         rng = np.random.Generator(np.random.PCG64(seed).jumped(stream))
         want = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
@@ -199,6 +201,82 @@ def test_stream_bits_match_generator_integers():
         rows = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
         want = [count_embeddings(x, "".join(map(str, row.tolist()))) for row in rows]
         assert distribution._count_block(x, n, seed, stream, size).tolist() == want
+
+
+def _last_steps(m, most):
+    """The last walk step each of uint8, uint16 and uint32 holds for a
+    length-m pattern, by the bound max_i C(s, i), among steps <= most."""
+    ends = []
+    for limit in (2**8 - 1, 2**16 - 1, 2**32 - 1):
+        s = ends[-1] if ends else 0
+        while s < most and math.comb(s + 1, min(m, (s + 1) // 2)) <= limit:
+            s += 1
+        if s < most:
+            ends.append(s)
+    return ends
+
+
+def _assert_block_counts(monkeypatch, x, rows):
+    """_count_block on the given texts (rows of 0/1) equals count_embeddings
+    per text."""
+    bits = np.ascontiguousarray(np.array(rows, dtype=np.uint8).T)
+    monkeypatch.setattr(distribution, "_stream_bits", lambda *args: bits)
+    got = distribution._count_block(x, bits.shape[0], 0, 0, bits.shape[1])
+    want = [count_embeddings(x, "".join(map(str, row))) for row in rows]
+    assert got.dtype == np.int64 and got.tolist() == want, (x, bits.shape[0])
+
+
+def test_count_block_exact_on_every_rung(monkeypatch):
+    # Constant texts give a constant pattern the largest count the bound
+    # allows at every step, so a half that widens one step late overflows.
+    # n = 2s, 2s + 1, 2s + 2 around each switch s lets the suffix half, then
+    # both halves, take one step past it; n = 1 leaves the prefix half empty.
+    rng = np.random.default_rng(14)
+    for m in range(1, 11):
+        ns = {n for n in (1, m, m + 1, 2 * m + 1) if n >= m}
+        for s in _last_steps(m, 3000):
+            ns |= {2 * s, 2 * s + 1, 2 * s + 2}
+        for n in sorted(ns):
+            assert math.comb(n, m) < 2**62  # the int64 path
+            rows = [[0] * n, [1] * n, [j % 2 for j in range(n)], [1 - j % 2 for j in range(n)]]
+            rows += rng.integers(0, 2, size=(4, n)).tolist()
+            for x in ("0" * m, "1" * m, "0110100110"[:m]):
+                _assert_block_counts(monkeypatch, x, rows)
+
+
+def test_count_block_wraps_exactly(monkeypatch):
+    # At x = "0" * 135, n = 140 the all-zero half of 70 bits counts
+    # C(70, 35) > 2^64 copies of x[:35]; texts with up to five ones hold x
+    rng = np.random.default_rng(140)
+    rows = [[0] * 140]
+    for ones in (1, 2, 5, 6):
+        row = [0] * 140
+        for j in rng.choice(140, ones, replace=False):
+            row[j] = 1
+        rows.append(row)
+    assert math.comb(70, 35) >= 2**64 and math.comb(140, 135) < 2**62
+    _assert_block_counts(monkeypatch, "0" * 135, rows)
+    _assert_block_counts(monkeypatch, "0" * 60 + "1" + "0" * 74, rows)
+
+
+@pytest.mark.parametrize(
+    "x,n", [("01", 200), ("10001001", 64), ("0" * 135, 140)], ids=["m2", "m8", "m135"]
+)
+def test_count_block_memory_within_estimate(monkeypatch, x, n):
+    # the tracemalloc peak of one block, bit draw included, is within the
+    # bytes check_sample_block charges it: a bound one byte under the peak
+    # must refuse the block
+    import tracemalloc
+
+    size = 4096
+    distribution._count_block(x, n, 1, 0, 8)
+    tracemalloc.start()
+    distribution._count_block(x, n, 1, 0, size)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    monkeypatch.setattr(distribution, "_BLOCK_BYTES", peak - 1)
+    with pytest.raises(CapacityError, match=f"{size} texts of length {n} needs"):
+        distribution.check_sample_block(n, len(x), size)
 
 
 def test_sample_histogram_single_draw():
