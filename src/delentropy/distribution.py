@@ -7,8 +7,10 @@ of the text space even though they carry no posterior mass.
 Both histograms split each text at its midpoint, y = uv with |u| = n // 2,
 and form W(uv) = sum_i c_i(u) * s_i(v) from prefix counts of x in u and
 suffix counts of x in v: the exact one over all half-texts at once, the
-sampled one per drawn text, with each half counted in the narrowest
-integer type that holds it.
+sampled one per drawn text.  Both take c_i and s_i from
+``embedding._half_counts``, as the posterior rows do, stepped in the
+narrowest type of the uint8 -> uint16 -> uint32 -> int64 ladder that
+holds them.
 """
 
 from __future__ import annotations
@@ -19,13 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core
-from .embedding import (
-    _half_tables,
-    _pattern_bits,
-    _prefix_counts,
-    count_embeddings,
-    total_masks,
-)
+from .embedding import _half_counts, _half_tables, count_embeddings, total_masks
 from .moments import MomentSet, central_from_raw
 
 # Sample index s is drawn by PRNG stream s // _BLOCK; stream j is the raw
@@ -146,32 +142,28 @@ def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarra
     """Weights of one PRNG stream's slice of the sample index space.
 
     The texts are the columns of ``_stream_bits``.  Each splits at its
-    midpoint as y = uv with |u| = h = n // 2, as in ``exact_histogram``:
-    W(uv) = sum_i c_i(u) * s_i(v), where c_i(u) counts x[:i] in u and
-    s_i(v) counts x[i:] in v.  The c_i are ``_prefix_counts`` of x over
-    bits[:h]; the s_i are ``_prefix_counts`` of reverse(x) over the
-    reversed bits[h:], rows flipped.  Each half walks in the narrowest
-    integer type that holds it, and the products are summed in int64.
-    When C(n, m) >= 2^62 could overflow int64, the weights come from
-    ``count_embeddings`` per text instead, as an object array of exact
+    midpoint as y = uv with |u| = h = n // 2, as in ``exact_histogram``,
+    and W(uv) = sum_i c_i(u) * s_i(v) is summed in int64 over the
+    ``_half_counts`` of bits[:h] and bits[h:], each half stepped in the
+    narrowest type of the uint8 -> uint16 -> uint32 -> int64 ladder that
+    holds it.  When C(n, m) >= 2^62 could overflow int64, the weights come
+    from ``count_embeddings`` per text instead, as an object array of exact
     ints (same bits).
     """
     bits = _stream_bits(seed, stream, size, n)
     m = len(x)
     if core.binomial(n, m) >= 2**62:
+        # an object rung atop the ladder was slower at m = 200 and outgrew the bytes charged
         return np.array(
             [count_embeddings(x, "".join(map(str, row.tolist()))) for row in bits.T],
             dtype=object,
         )
     h = n // 2
-    xb = _pattern_bits(x)
-    pre = _prefix_counts(xb, bits[:h])
-    # row j counts reverse(x)[:j] in reverse(v), that is s_(m-j)(v)
-    suf = _prefix_counts(xb[::-1], bits[h:][::-1])
+    pre, suf = _half_counts(x, bits[:h], bits[h:])
     # Half rows may pass 2^64 and wrap (C(70, 35) > 2^64 at x = "0" * 135,
     # n = 140), but int64 arithmetic is exact mod 2^64 and W <= C(n, m) <
     # 2^62, so the wrapped sum is W itself.
-    pre[::-1] *= suf
+    pre *= suf
     return pre.sum(axis=0)
 
 

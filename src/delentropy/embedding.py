@@ -114,7 +114,7 @@ def _prefix_counts(xb: np.ndarray, bits: np.ndarray) -> np.ndarray:
     The table is stepped by ``_extend`` in the narrowest type of the ladder
     uint8 -> uint16 -> uint32 -> int64 that holds it, widened by one
     ``astype`` at each of the ``_rung_ends``, so the unsigned rungs never
-    overflow.  The int64 rung is exact mod 2^64.
+    overflow.
     """
     dp = np.zeros((len(xb) + 1, bits.shape[1]), dtype=np.uint8)
     dp[0] = 1
@@ -129,20 +129,18 @@ def _prefix_counts(xb: np.ndarray, bits: np.ndarray) -> np.ndarray:
     return dp
 
 
-def prefix_table(x: str, k: int) -> np.ndarray:
-    """Prefix embedding counts of x in every length-k text.
+def _half_counts(x: str, ubits: np.ndarray, vbits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(pre, suf): the int64 (m+1, N) half-count tables of pattern x over N
+    texts y = uv, the symbols of u and of v being the rows of the (|u|, N)
+    array ubits and the (|v|, N) array vbits.
 
-    Entry (i, v) counts embeddings of x[:i] in the text whose binary value
-    is v, so columns run in lexicographic text order.  Entries stay exact in
-    int64 while C(k, m) < 2^63, which the enumeration guard ensures.
+    pre[i] counts x[:i] in u and suf[i] counts x[i:] in v, so pre[0] =
+    suf[m] = 1 and W(uv) = sum_i pre[i] * suf[i].  Both are
+    ``_prefix_counts``: suf is that of reverse(x) over reverse(v), whose
+    row j counts x[m-j:], rows flipped.
     """
     xb = _pattern_bits(x)
-    dp = np.zeros((len(x) + 1, 1), dtype=np.int64)
-    dp[0] = 1
-    for _ in range(k):
-        dp = np.repeat(dp, 2, axis=1)
-        _extend(dp, np.arange(dp.shape[1]) % 2, xb)
-    return dp
+    return _prefix_counts(xb, ubits), _prefix_counts(xb[::-1], vbits[::-1])[::-1]
 
 
 def total_masks(n: int, m: int) -> int:
@@ -165,6 +163,12 @@ def bit_strings(values: np.ndarray, width: int) -> list[str]:
     return chars.tobytes().decode("ascii").splitlines()
 
 
+def _bit_rows(values: np.ndarray, width: int) -> np.ndarray:
+    """The 0/1 int64 (len(values), width) bit rows of values, most
+    significant bit first."""
+    return (values[:, None] >> np.arange(width - 1, -1, -1)) & 1
+
+
 def _validate(x: str, n: int, guard: int | None) -> int:
     """Check x and n for an enumeration of all 2^n texts, apply the guard,
     and return m."""
@@ -174,21 +178,24 @@ def _validate(x: str, n: int, guard: int | None) -> int:
 
 
 def _half_tables(x: str, n: int, guard: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(pre, suf): the count tables of x over the two halves of y = uv.
+    """(pre, suf): the ``_half_counts`` of x over all 2^(n // 2) halves u
+    and all 2^(n - n // 2) halves v of y = uv, column u of pre and column v
+    of suf being the texts of binary value u and v.
 
-    With |u| = n // 2 and |v| = k = n - n // 2, pre[i, u] counts x[:i] in u
-    and suf[i, v] counts x[i:] in v, both with columns in lexicographic text
-    order.  An embedding puts some prefix x[:i] in u and the rest in v, so
-    W(uv) = pre[:, u] @ suf[:, v].  suf is the prefix table of reverse(x)
-    over the reversed halves, rows flipped; reversing the k binary digit
-    axes of its column index moves reverse(v) to column v.  x and n are
+    An embedding puts some prefix x[:i] in u and the rest in v, so
+    W(uv) = pre[:, u] @ suf[:, v]; the exact histogram and the posterior
+    rows both take their half counts from here.  n <= 62 keeps each half
+    within 31 steps, so the ladder never leaves uint32.  x and n are
     checked, and the guard applied, before any table is built.
     """
-    m = _validate(x, n, guard)
-    k = n - n // 2
-    suf = prefix_table(core.reverse(x), k)[::-1]
-    suf = suf.reshape((m + 1,) + (2,) * k).transpose(0, *range(k, 0, -1))
-    return prefix_table(x, n // 2), suf.reshape(m + 1, 1 << k)
+    _validate(x, n, guard)
+    # contiguous uint8 symbol rows, as the sampled texts are drawn, step
+    # about twice as fast as int64 ones at n = 22
+    ubits, vbits = (
+        np.ascontiguousarray(_bit_rows(np.arange(1 << k), k).T, dtype=np.uint8)
+        for k in (n // 2, n - n // 2)
+    )
+    return _half_counts(x, ubits, vbits)
 
 
 def _check_dict(x: str, n: int, guard: int | None) -> None:

@@ -104,12 +104,6 @@ def alternating_patterns(m: int) -> list[str]:
     return sorted({a, core.complement(a)})
 
 
-def _bit_rows(values: np.ndarray, width: int) -> np.ndarray:
-    """The 0/1 int64 (len(values), width) bit rows of values, most
-    significant bit first."""
-    return (values[:, None] >> np.arange(width - 1, -1, -1)) & 1
-
-
 def _subset_sums(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """out[f] = base + the sum of rows[i] over the bits i set in f, for every
     len(rows)-bit field f (bit 0 the most significant), by doubling: one
@@ -153,8 +147,8 @@ def kappa_blocks(m: int):
     k = min(m, _KAPPA_BLOCK.bit_length() - 1)
     hi, k1 = m - k, k // 2
     h_f, u_f, v_f = slice(0, hi), slice(hi, hi + k1), slice(hi + k1, m)
-    u_bits = _bit_rows(np.arange(1 << k1), k1)
-    v_bits = _bit_rows(np.arange(1 << (k - k1)), k - k1)
+    u_bits = embedding._bit_rows(np.arange(1 << k1), k1)
+    v_bits = embedding._bit_rows(np.arange(1 << (k - k1)), k - k1)
 
     def own(bits, f):
         return 2 * ((bits @ mat[f, f]) * bits).sum(axis=1) - 2 * c * bits.sum(axis=1)
@@ -165,7 +159,7 @@ def kappa_blocks(m: int):
     low = np.arange(1 << k)
     for start in range(0, 1 << hi, 1 << k1):
         highs = np.arange(start, min(start + (1 << k1), 1 << hi))
-        h_bits = _bit_rows(highs, hi)
+        h_bits = embedding._bit_rows(highs, hi)
         rows_u = h_bits @ to_u + own(h_bits, h_f)[:, None]
         rows_v = h_bits @ to_v
         for h, row_u, row_v in zip(highs.tolist(), rows_u, rows_v):

@@ -214,6 +214,34 @@ def test_uncertainty_set_sparse_support_at_n22():
     assert all(count_embeddings(x, y) == w for y, w in rows)
 
 
+def test_half_tables_match_count_embeddings():
+    # every row of both half tables, per half-text, against count_embeddings;
+    # row 0 of pre and row m of suf count the empty pattern.  Halves of 10
+    # and 11 steps at n = 20..22 reach and cross the uint8 -> uint16 switch
+    # at step 10; n = 1 leaves u empty
+    from delentropy.embedding import _half_tables
+
+    cases = [
+        (x, n)
+        for m in range(1, 5)
+        for x in map("".join, itertools.product("01", repeat=m))
+        for n in range(m, 13)
+    ]
+    cases += [(x, n) for x in ("0" * 10, "1" * 10, "0110100110") for n in (20, 21, 22)]
+    for x, n in cases:
+        m = len(x)
+        us, vs = (
+            list(map("".join, itertools.product("01", repeat=k))) for k in (n // 2, n - n // 2)
+        )
+        pre, suf = _half_tables(x, n, None)
+        assert pre.shape == (m + 1, len(us)) and suf.shape == (m + 1, len(vs))
+        assert pre[0].tolist() == [1] * len(us) and suf[m].tolist() == [1] * len(vs)
+        for i in range(1, m + 1):
+            assert pre[i].tolist() == [count_embeddings(x[:i], u) for u in us], (x, n, i)
+        for i in range(m):
+            assert suf[i].tolist() == [count_embeddings(x[i:], v) for v in vs], (x, n, i)
+
+
 def test_uncertainty_blocks_both_shapes(monkeypatch):
     # _ROWS = 8 cuts every u-row into slices, _ROWS = 64 at n = 9 takes two
     # whole u-rows per block; the rows must not change
