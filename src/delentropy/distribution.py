@@ -21,7 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core
-from .embedding import _half_counts, _half_tables, count_embeddings, total_masks
+from .embedding import _half_counts, _half_tables, _walker
 from .moments import MomentSet, central_from_raw
 
 # Sample index s is drawn by PRNG stream s // _BLOCK; stream j is the raw
@@ -147,15 +147,20 @@ def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarra
     ``_half_counts`` of bits[:h] and bits[h:], each half stepped in the
     narrowest type of the uint8 -> uint16 -> uint32 -> int64 ladder that
     holds it.  When C(n, m) >= 2^62 could overflow int64, the weights come
-    from ``count_embeddings`` per text instead, as an object array of exact
-    ints (same bits).
+    from the ``count_embeddings`` walker instead, as an object array of
+    exact ints (same bits): the block's texts are rendered as one byte
+    string of '0'/'1' characters, and each n-byte slice is decoded and
+    walked.
     """
     bits = _stream_bits(seed, stream, size, n)
     m = len(x)
     if core.binomial(n, m) >= 2**62:
         # an object rung atop the ladder was slower at m = 200 and outgrew the bytes charged
+        bits += ord("0")  # in place: the block's own bits, no third copy
+        chars = bits.T.tobytes()
+        walk = _walker(x)
         return np.array(
-            [count_embeddings(x, "".join(map(str, row.tolist()))) for row in bits.T],
+            [walk(chars[i : i + n].decode("ascii")) for i in range(0, size * n, n)],
             dtype=object,
         )
     h = n // 2
@@ -254,14 +259,3 @@ def empirical_moments(hist: WeightHistogram) -> MomentSet:
         provenance="exact" if hist.mode == "exact" else "empirical",
     )
 
-
-def histogram_mass_checks(hist: WeightHistogram) -> None:
-    """Raise if an exact histogram breaks its counting identities."""
-    if hist.mode != "exact":
-        return
-    n, m = hist.text_length, len(hist.pattern)
-    if hist.total() != 1 << n:
-        raise AssertionError("exact multiplicities must sum to 2^n")
-    weighted = sum(w * c for w, c in hist.counts.items())
-    if weighted != total_masks(n, m):
-        raise AssertionError("weighted sum must equal C(n,m) * 2^(n-m)")

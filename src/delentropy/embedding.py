@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -24,10 +24,11 @@ from . import core
 # bounds the character block of bit_strings to (n + 1) * 16 KiB.
 _ROWS = 1 << 14
 
-# Peak bytes of the dict ``posterior`` returns.  The row stream holds only
-# its two half tables and one block, so the guard alone bounds it; the dict
-# holds every row of the support.  1 GiB admits n = 22 and refuses n = 23
-# for m = 1.
+# Bytes an exact enumeration may hold.  The row stream holds its two half
+# tables, their symbol rows and one block, which ``_validate`` costs: 1 GiB
+# admits n = 46 and refuses n = 47 for m = 1.  The dict ``posterior``
+# returns holds every row of the support, which ``_check_dict`` costs:
+# 1 GiB admits n = 22 and refuses n = 23 for m = 1.
 _TABLE_BYTES = 1 << 30
 
 # Bytes per row of the dict ``posterior`` returns, on top of the n
@@ -36,6 +37,9 @@ _TABLE_BYTES = 1 << 30
 # 95-112 + n bytes per row, measured with tracemalloc for m = 1..5 at
 # n = 16..20.
 _DICT_ROW_BYTES = 120
+
+# Patterns whose compiled text walks ``count_embeddings`` keeps.
+_WALKERS = 256
 
 
 @dataclass
@@ -60,20 +64,50 @@ class WeightDistribution:
 def count_embeddings(x: str, y: str) -> int:
     """Number of ways x occurs in y as a subsequence (0 if it does not).
 
-    Standard prefix dynamic program: dp[i] counts embeddings of x[:i] in the
-    scanned part of y, updated in place per text symbol.  The pattern rows
-    holding each symbol are listed once per call, in descending order, so a
-    text symbol touches only its own rows.  Counts are exact Python ints.
+    Standard prefix dynamic program: d_i counts embeddings of x[:i] in the
+    scanned part of y, and each text symbol c adds d_(i-1) to d_i for the
+    rows i of x holding c, in descending order.  The walk is straight-line
+    code per pattern from ``_walker``, so the counts are local variables,
+    exact Python ints.  The first text of a new pattern pays its one-off
+    compile (0.05-0.2 ms at m <= 10, about 0.5 ms at m = 100); a text
+    shorter than x returns 0 before any walker is built.
     """
     core.validate_pattern(x)
     core.validate_text(y)
+    if len(y) < len(x):
+        return 0
+    return _walker(x)(y)
+
+
+@lru_cache(maxsize=_WALKERS)
+def _walker(x: str) -> Callable[[str], int]:
+    """The compiled text walk of pattern x: a function of a 0/1 string y
+    returning the embedding count of x in y.
+
+    For x = 0110 the loop body is ``if c == '0': d4 += d3; d1 += 1`` /
+    ``else: d3 += d2; d2 += d1``.  The source is built from row indices and
+    the literals '0' and '1' alone; ``count_embeddings`` validates x first.
+    """
     m = len(x)
-    rows = {c: [i for i in range(m, 0, -1) if x[i - 1] == c] for c in "01"}
-    dp = [1] + [0] * m
-    for c in y:
-        for i in rows[c]:
-            dp[i] += dp[i - 1]
-    return dp[m]
+
+    def updates(c):
+        rows = [f"d{i} += d{i - 1}" for i in range(m, 1, -1) if x[i - 1] == c]
+        rows += ["d1 += 1"] if x[0] == c else []
+        return [f"            {row}" for row in rows or ["pass"]]
+
+    source = "\n".join([
+        "def walk(y):",
+        "    " + " = ".join(f"d{i}" for i in range(1, m + 1)) + " = 0",
+        "    for c in y:",
+        "        if c == '0':",
+        *updates("0"),
+        "        else:",
+        *updates("1"),
+        f"    return d{m}",
+    ])
+    namespace = {}
+    exec(compile(source, f"<walker of a length-{m} pattern>", "exec"), namespace)
+    return namespace["walk"]
 
 
 def _pattern_bits(x: str) -> np.ndarray:
@@ -171,10 +205,40 @@ def _bit_rows(values: np.ndarray, width: int) -> np.ndarray:
 
 def _validate(x: str, n: int, guard: int | None) -> int:
     """Check x and n for an enumeration of all 2^n texts, apply the guard,
-    and return m."""
+    and return m.
+
+    The enumeration is refused with CapacityError, naming the bytes, when
+    the peak of ``_half_tables`` would pass ``_TABLE_BYTES``; nothing is
+    allocated before the check.  The peak is the uint8 symbol rows of both
+    halves, both int64 half tables, and the second table's uint32 rung
+    while it widens to int64: within 1% of tracemalloc's peak for
+    m = 1..20 at n = 22..26.
+    """
     m = core.check_lengths(len(core.validate_pattern(x)), n)
     core.check_guard(n, guard)
+    h, k = n // 2, n - n // 2
+    need = ((h + 8 * (m + 1)) << h) + ((k + 12 * (m + 1)) << k)
+    if need > _TABLE_BYTES:
+        raise core.CapacityError(
+            f"enumeration over 2^{n} texts refused: the symbol rows and half "
+            f"tables of its half-texts need about {need} bytes "
+            f"({need / 2**30:.1f} GiB), above the bound of {_TABLE_BYTES} bytes"
+        )
     return m
+
+
+def _half_bits(k: int) -> np.ndarray:
+    """The (k, 2^k) uint8 symbol rows of all k-bit half-texts, column v
+    holding the text of binary value v, most significant bit in row 0.
+
+    Row j is 2^j repeats of 2^(k-1-j) zeros then as many ones, so its ones
+    are written in place through a (2^j, 2, 2^(k-1-j)) view and no
+    (2^k, k) temporary is formed.
+    """
+    rows = np.zeros((k, 1 << k), dtype=np.uint8)
+    for j in range(k):
+        rows[j].reshape(1 << j, 2, -1)[:, 1] = 1
+    return rows
 
 
 def _half_tables(x: str, n: int, guard: int | None) -> tuple[np.ndarray, np.ndarray]:
@@ -186,16 +250,13 @@ def _half_tables(x: str, n: int, guard: int | None) -> tuple[np.ndarray, np.ndar
     W(uv) = pre[:, u] @ suf[:, v]; the exact histogram and the posterior
     rows both take their half counts from here.  n <= 62 keeps each half
     within 31 steps, so the ladder never leaves uint32.  x and n are
-    checked, and the guard applied, before any table is built.
+    checked, and the guard and byte bound applied (``_validate``), before
+    any table is built.
     """
     _validate(x, n, guard)
     # contiguous uint8 symbol rows, as the sampled texts are drawn, step
     # about twice as fast as int64 ones at n = 22
-    ubits, vbits = (
-        np.ascontiguousarray(_bit_rows(np.arange(1 << k), k).T, dtype=np.uint8)
-        for k in (n // 2, n - n // 2)
-    )
-    return _half_counts(x, ubits, vbits)
+    return _half_counts(x, _half_bits(n // 2), _half_bits(n - n // 2))
 
 
 def _check_dict(x: str, n: int, guard: int | None) -> None:

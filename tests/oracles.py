@@ -101,6 +101,19 @@ def brute_mu(n: int, m: int) -> int:
     return math.comb(n, m) * (1 << (n - m))
 
 
+def histogram_mass_checks(hist) -> None:
+    """Raise if an exact histogram breaks its counting identities: its
+    multiplicities sum to 2^n and its weights to C(n, m) * 2^(n-m)."""
+    if hist.mode != "exact":
+        return
+    n, m = hist.text_length, len(hist.pattern)
+    if hist.total() != 1 << n:
+        raise AssertionError("exact multiplicities must sum to 2^n")
+    weighted = sum(w * c for w, c in hist.counts.items())
+    if weighted != brute_mu(n, m):
+        raise AssertionError("weighted sum must equal C(n,m) * 2^(n-m)")
+
+
 def brute_shannon(x: str, n: int) -> float:
     """Direct -sum p log2 p over the posterior, one term per text."""
     mu = brute_mu(n, len(x))

@@ -395,10 +395,29 @@ def test_capacity_exit(capsys):
         # one 12-step pass, then 4 * 12 products for each of ~10^9 n
         (["gaussian", "011", "10..1000000000"], "134217728"),
         (["table", "20", "17"], "2^17 patterns"),
+        # uint8 symbol rows and int64 half tables of 2 * 2^31 half-texts,
+        # (31 + 8 (m + 1)) * 2^31 bytes for the first half and
+        # (31 + 12 (m + 1)) * 2^31 for the second, costed before any is built
+        (["table", "62", "2", "--guard", "100"], "261993005056 bytes"),
+        (["hist", "01", "62", "--guard", "100"], "261993005056 bytes"),
+        (["posterior", "0", "62", "--guard", "100"], "219043332096 bytes"),
     ]:
         code, _, err = run(capsys, *argv)
         assert code == 3 and err.startswith("capacity error:")
         assert bound in err and "Traceback" not in err
+
+
+def test_half_table_refusal_allocates_nothing(capsys):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "table", "62", "2", "--guard", "100")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and "bytes" in err
+    assert peak < 1 << 20
 
 
 def test_gaussian_range_reuses_one_pass(capsys):

@@ -86,8 +86,11 @@ def test_validators():
     for bad in ("", "012", "ab", None, 5):
         with pytest.raises(ValueError):
             validate_pattern(bad)
-    with pytest.raises(ValueError):
-        validate_text("2")
+    for bad in ("2", "0120", " 01", "01 ", "0\n1", "０1", None, 5, b"01"):
+        with pytest.raises(ValueError):
+            validate_text(bad)
+    for good in ("0", "1", "0110" * 50):
+        assert validate_text(good) == good
 
 
 def test_all_bitstrings_lexicographic():

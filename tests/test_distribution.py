@@ -15,7 +15,6 @@ from delentropy import (
 )
 from delentropy import distribution
 from delentropy.core import CapacityError
-from delentropy.distribution import histogram_mass_checks
 
 import oracles
 
@@ -68,7 +67,7 @@ def test_exact_histogram_mass_identities():
         for x in ("".join(p) for p in itertools.product("01", repeat=m)):
             for n in range(m, 13):
                 h = exact_histogram(x, n)
-                histogram_mass_checks(h)
+                oracles.histogram_mass_checks(h)
                 assert h.total() == 1 << n
                 assert sum(w * c for w, c in h.counts.items()) == total_masks(n, m)
 
@@ -201,6 +200,24 @@ def test_stream_bits_match_generator_integers():
         rows = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
         want = [count_embeddings(x, "".join(map(str, row.tolist()))) for row in rows]
         assert distribution._count_block(x, n, seed, stream, size).tolist() == want
+
+
+def test_big_int_block_matches_count_embeddings():
+    # C(n, m) >= 2^62 sends a block to the walker over its rendered texts;
+    # per text, in draw order, at n = 66 and at n = 67, where n * size is
+    # not a multiple of 8 and the stream's last word is partly used
+    for x, n, seed, stream, size in (
+        ("01" * 16 + "0", 66, 5, 1, 300),
+        ("0110" * 8 + "01", 67, 6, 2, 301),
+        ("1" * 33, 67, 7, 0, 257),
+    ):
+        assert math.comb(n, len(x)) >= 2**62
+        rng = np.random.Generator(np.random.PCG64(seed).jumped(stream))
+        rows = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
+        want = [count_embeddings(x, "".join(map(str, row.tolist()))) for row in rows]
+        got = distribution._count_block(x, n, seed, stream, size)
+        assert got.dtype == object and got.tolist() == want, (x, n)
+        assert any(w > 0 for w in want)
 
 
 def _last_steps(m, most):

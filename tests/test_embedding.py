@@ -172,6 +172,65 @@ def test_count_embeddings_long_texts():
             assert count_embeddings(x, y) == _recurrence_count(x, y)
 
 
+def test_walker_matches_recurrence_every_short_pattern():
+    # every pattern with m <= 8, on one text of each length 0..40 (n < m,
+    # n = m and n > m) and a 200-bit text; texts alternate in their first
+    # symbol so both branches start the walk
+    rng = random.Random(16)
+    texts = [format(rng.getrandbits(n), f"0{n}b") if n else "" for n in range(41)]
+    texts += [format(rng.getrandbits(200), "0200b")]
+    for m in range(1, 9):
+        for x in map("".join, itertools.product("01", repeat=m)):
+            for y in texts + [x, x[::-1]]:
+                assert count_embeddings(x, y) == _recurrence_count(x, y), (x, y)
+
+
+def test_walker_long_patterns_pass_two_to_the_64():
+    # lengths 64 and 300 on 400-bit texts, with counts far past int64
+    rng = random.Random(64)
+    planted = list("0110" * 75)  # 100 random bits strewn through the pattern
+    for _ in range(100):
+        planted.insert(rng.randrange(len(planted) + 1), rng.choice("01"))
+    cases = [
+        (format(rng.getrandbits(64), "064b"), format(rng.getrandbits(400), "0400b")),
+        ("01" * 150, "01" * 200),
+        ("0" * 150 + "1" * 150, "0" * 200 + "1" * 200),
+        ("0110" * 75, "".join(planted)),
+    ]
+    for x, y in cases:
+        want = _recurrence_count(x, y)
+        assert len(y) == 400 and want > 2**64, len(x)
+        assert count_embeddings(x, y) == want, len(x)
+
+
+def test_walker_cache():
+    from delentropy import embedding
+
+    walker = embedding._walker
+    walker.cache_clear()
+    # a text shorter than its pattern is 0 before any walker is built
+    assert count_embeddings("0110", "011") == count_embeddings("1" * 40, "1" * 39) == 0
+    assert walker.cache_info().misses == 0
+    # patterns are validated before any source is generated
+    for bad in ("0'1", "01\n", "", "0 1", None):
+        with pytest.raises(ValueError):
+            count_embeddings(bad, "0101")
+    assert walker.cache_info().misses == 0
+    # one walker per pattern, reused across texts
+    assert [count_embeddings("0110", y) for y in ("0110", "01110", "00110110")] == [1, 3, 15]
+    assert walker.cache_info().misses == 1 and walker.cache_info().hits == 2
+    # the cache holds at most its bound, and evicted patterns still count
+    bound = walker.cache_info().maxsize
+    assert bound == embedding._WALKERS
+    patterns = [format(v, "012b") for v in range(bound + 40)]
+    y = "01" * 12
+    for x in patterns:
+        assert count_embeddings(x, y) == _recurrence_count(x, y)
+        assert walker.cache_info().currsize <= bound
+    assert walker.cache_info().currsize == bound
+    assert count_embeddings(patterns[0], y) == _recurrence_count(patterns[0], y)
+
+
 def _oracle_rows(x, n):
     weights = oracles.counts_all_texts(x, n)
     return [(format(v, f"0{n}b"), int(weights[v])) for v in np.flatnonzero(weights)]
@@ -295,3 +354,33 @@ def test_uncertainty_blocks_memory():
         tracemalloc.stop()
     assert rows == embedding._support_size(20, 10)
     assert peak < 16 << 20
+
+
+def test_half_tables_costed_at_their_peak(monkeypatch):
+    # the bytes _validate charges are within 1% of the tracemalloc peak of
+    # _half_tables, and a bound one byte under them refuses before any
+    # allocation, naming them
+    import tracemalloc
+
+    from delentropy import embedding
+
+    for x, n in (("0110100110", 22), ("01", 24), ("0" * 20, 25), ("1", 25)):
+        m, h = len(x), n // 2
+        need = ((h + 8 * (m + 1)) << h) + ((n - h + 12 * (m + 1)) << (n - h))
+        tracemalloc.start()
+        try:
+            embedding._half_tables(x, n, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(peak - need) <= peak // 100, (x, n, peak, need)
+        monkeypatch.setattr(embedding, "_TABLE_BYTES", need)
+        embedding._validate(x, n, None)
+        monkeypatch.setattr(embedding, "_TABLE_BYTES", need - 1)
+        with pytest.raises(CapacityError, match=f"about {need} bytes"):
+            embedding._half_tables(x, n, None)
+        monkeypatch.undo()
+    # with m = 1 the default bound admits n = 46 and refuses n = 47
+    embedding._validate("0", 46, 100)
+    with pytest.raises(CapacityError, match="1132462080 bytes"):
+        embedding._validate("0", 47, 100)
