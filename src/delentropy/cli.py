@@ -5,8 +5,9 @@ Everything runs in one process; ``--workers`` is accepted for compatibility
 and ignored, so the bytes are the same for every value.  Every table is
 rendered by ``_row_chunks`` and written by ``_write``.  Exit codes:
 0 success, 1 internal failure (a proved statement falsified), 2 usage error,
-3 capacity error, 4 notable finding (a predicted witness set deviated or the
-entropy ordering broke).
+3 capacity error (a bound below refused the work, or it ran out of memory),
+4 notable finding (a predicted witness set deviated or the entropy ordering
+broke).
 
 The capacity bounds behind exit 3:
 
@@ -14,6 +15,9 @@ The capacity bounds behind exit 3:
   all 2^n texts, checked on the largest n of a range before any work;
 * n <= 62 for exact enumeration whatever the guard, so weights and
   multiplicities fit int64;
+* 2^30 bytes for the symbol rows and half tables of an exact enumeration
+  (``hist``, ``table``, ``posterior``, ``entropy``, ``extremal --criterion
+  entropy-min``), checked on the largest n of a range before any work;
 * m <= 30 for the kappa2 scans and ``kappa --all``;
 * m <= 16 for ``table``, which ranks all 2^m patterns;
 * 2^27 cell-steps for an exact moment tensor (``moments``, ``gaussian``,
@@ -93,7 +97,8 @@ def _write(args, chunks, filename: str | None = None) -> None:
     """Write the text chunks in order to stdout or to --out, one at a time.
 
     An error raised while producing the first chunk surfaces before any
-    output, so a refused command leaves no partial file behind.
+    output, and a file whose later chunks fail is removed, so a refused
+    command leaves no partial file behind.
     """
     chunks = iter(chunks)
     first = next(chunks, "")
@@ -107,9 +112,13 @@ def _write(args, chunks, filename: str | None = None) -> None:
         dest = dest / filename
     else:
         dest.parent.mkdir(parents=True, exist_ok=True)
-    with dest.open("w") as fh:
-        fh.write(first)
-        fh.writelines(chunks)
+    try:
+        with dest.open("w") as fh:
+            fh.write(first)
+            fh.writelines(chunks)
+    except BaseException:
+        dest.unlink(missing_ok=True)
+        raise
 
 
 def _parse_n_range(text: str) -> range:
@@ -201,7 +210,7 @@ def _cmd_hist(args) -> int:
             raise ValueError("an n range needs --out DIR (one file per n)")
         # refuse the whole range on its largest n before the first file
         if args.sample is None:
-            core.check_guard(ns[-1], args.guard)
+            embedding.check_enumeration(ns[-1], len(x), args.guard)
         else:
             distribution.check_sample_block(ns[-1], len(x), args.sample)
     ext = "csv" if args.format == "csv" else "json"
@@ -482,6 +491,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError:
+        # a bound that let through work this machine cannot hold
+        print(f"capacity error: {args.command} ran out of memory", file=sys.stderr)
         return EXIT_CAPACITY
     except ExtremalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

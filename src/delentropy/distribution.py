@@ -37,7 +37,13 @@ _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 # bytes and as the shifted (n, size) uint8 layout; then the bits, the int64
 # prefix-half table and, at worst, the int64 suffix-half table with one
 # step's bool mask and int64 product: under 2n + 25(m+1) bytes per text in
-# all (3548 of 3680 at x = "0" * 135, n = 140, by tracemalloc).
+# all (3548 of 3680 at x = "0" * 135, n = 140, by tracemalloc).  On top of
+# that a block holds, whatever its size, the text being walked on the
+# big-int path (its byte slice and decoded str, 2n + 82 bytes) and numpy's
+# casting buffers (up to 64 KiB at the default bufsize): charged as
+# 3n + 2^16 bytes per block, which covers the tracemalloc peak of every
+# block size 1..64 (59310 B over the per-text charge at x = "0" * 135,
+# n = 140, size 61; 40331 B at x = "01101", n = 20000, size 2).
 # sample_histogram refuses a block that would need more bytes than this.
 _BLOCK_BYTES = 1 << 30
 
@@ -193,15 +199,17 @@ def _stream_bits(seed: int, stream: int, size: int, n: int) -> np.ndarray:
 
 def check_sample_block(n: int, m: int, sample_size: int) -> None:
     """A CapacityError if one sample block of length-n texts, for a length-m
-    pattern, would need more than ``_BLOCK_BYTES``."""
+    pattern, would need more than ``_BLOCK_BYTES``: 2n + 25(m+1) bytes per
+    text and 3n + 2^16 per block (see ``_BLOCK_BYTES``)."""
     block = min(_BLOCK, sample_size)
     per_text = 2 * n + 25 * (m + 1)
-    need = block * per_text
+    per_block = 3 * n + (1 << 16)
+    need = block * per_text + per_block
     if need > _BLOCK_BYTES:
         raise core.CapacityError(
             f"a sample block of {block} texts of length {n} needs {need} bytes "
-            f"({per_text} per text for a length-{m} pattern), "
-            f"over the {_BLOCK_BYTES}-byte bound"
+            f"({per_text} per text for a length-{m} pattern, plus {per_block} "
+            f"per block), over the {_BLOCK_BYTES}-byte bound"
         )
 
 

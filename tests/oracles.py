@@ -161,9 +161,15 @@ def single_overlap_interleavings(m: int) -> list:
 
 def brute_kappa_squared(x: str, interleavings=None) -> int:
     """kappa2 by counting the single-overlap interleavings of two copies of x
-    whose shared position carries equal symbols."""
+    whose shared position carries equal symbols.
+
+    ``interleavings`` is the list of ``single_overlap_interleavings`` or
+    its tally {(r, s): count}, which counts the same list in m^2 terms.
+    """
     if interleavings is None:
         interleavings = single_overlap_interleavings(len(x))
+    if isinstance(interleavings, dict):
+        return sum(c for (r, s), c in interleavings.items() if x[r] == x[s])
     return sum(x[r] == x[s] for r, s in interleavings)
 
 

@@ -407,6 +407,70 @@ def test_capacity_exit(capsys):
         assert bound in err and "Traceback" not in err
 
 
+def _half_table_bytes(n, m):
+    """The bytes of the half tables of an enumeration over 2^n texts."""
+    h, k = n // 2, n - n // 2
+    return ((h + 8 * (m + 1)) << h) + ((k + 12 * (m + 1)) << k)
+
+
+def test_exact_range_refused_on_table_bytes(tmp_path, capsys, monkeypatch):
+    # with the byte bound at the cost of n = 11, a range reaching n = 14 is
+    # refused on n = 14, with its per-n message, before any file or entropy
+    from delentropy import embedding
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the byte refusal")
+
+    monkeypatch.setattr(embedding, "_TABLE_BYTES", _half_table_bytes(11, 2))
+    monkeypatch.setattr(cli.distribution, "exact_histogram", no_work)
+    monkeypatch.setattr(cli.extremal, "shannon_entropy", no_work)
+    monkeypatch.setattr(cli.extremal, "kappa_blocks", no_work)
+    need = f"about {_half_table_bytes(14, 2)} bytes"
+    dest = tmp_path / "d"
+    for argv in (
+        ["hist", "01", "8..14", "--out", str(dest)],
+        ["extremal", "--criterion", "entropy-min", "2", "--n-range", "8..14",
+         "--out", str(dest)],
+        ["table", "14", "2", "--out", str(dest)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and err.startswith("capacity error:"), argv
+        assert "2^14 texts" in err and need in err and "Traceback" not in err
+        assert not dest.exists()
+    monkeypatch.undo()
+    # n = 11 itself is admitted at that bound
+    monkeypatch.setattr(embedding, "_TABLE_BYTES", _half_table_bytes(11, 2))
+    code, _, _ = run(capsys, "hist", "01", "8..11", "--out", str(dest))
+    assert code == 0 and len(list(dest.iterdir())) == 4
+
+
+def test_memory_error_exits_capacity(tmp_path, capsys, monkeypatch):
+    # an escaped MemoryError is a capacity error naming the subcommand, with
+    # no traceback and no file, not exit 1
+    def out_of_memory(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_hist", out_of_memory)
+    dest = tmp_path / "h.csv"
+    code, out, err = run(capsys, "hist", "01", "5", "--out", str(dest))
+    assert code == 3 and out == ""
+    assert err == "capacity error: hist ran out of memory\n"
+    assert not dest.exists()
+
+    # a MemoryError after the first chunk removes the partial file
+    def half_written(args):
+        def chunks():
+            yield "pattern,kappa2\n"
+            raise MemoryError
+
+        cli._write(args, chunks())
+
+    monkeypatch.setattr(cli, "_cmd_kappa", half_written)
+    code, out, err = run(capsys, "kappa", "01", "--out", str(dest))
+    assert code == 3 and err == "capacity error: kappa ran out of memory\n"
+    assert not dest.exists()
+
+
 def test_half_table_refusal_allocates_nothing(capsys):
     import tracemalloc
 

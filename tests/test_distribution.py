@@ -296,6 +296,39 @@ def test_count_block_memory_within_estimate(monkeypatch, x, n):
         distribution.check_sample_block(n, len(x), size)
 
 
+def test_small_blocks_within_charge(monkeypatch):
+    # on the big-int path a block also holds the text being walked, which
+    # the per-block term of check_sample_block charges: the tracemalloc peak
+    # of every block size 1..64 at n = 20000 is within the bytes charged
+    import tracemalloc
+
+    x, n = "01101", 20000
+    assert math.comb(n, len(x)) >= 2**62
+
+    def assert_within_charge(x, n, size):
+        tracemalloc.start()
+        distribution._count_block(x, n, 1, 0, size)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        with monkeypatch.context() as patch:
+            patch.setattr(distribution, "_BLOCK_BYTES", peak - 1)
+            with pytest.raises(CapacityError, match=f"plus {3 * n + (1 << 16)} per block"):
+                distribution.check_sample_block(n, len(x), size)
+
+    distribution._count_block(x, n, 1, 0, 2)
+    for size in (1, 2, 3, 4):
+        assert_within_charge(x, n, size)
+    # the walk's own ints are transient, so a walker that only takes the
+    # text's length leaves the peak in place and keeps tracemalloc from
+    # tracing some 10^8 big-int additions
+    monkeypatch.setattr(distribution, "_walker", lambda x: len)
+    for size in range(1, 65):
+        assert_within_charge(x, n, size)
+    # on the int64 path numpy's casting buffers are the per-block excess
+    for size in range(1, 65):
+        assert_within_charge("0" * 135, 140, size)
+
+
 def test_sample_histogram_single_draw():
     h = sample_histogram("01", 12, 1, seed=123)
     assert h.total() == 1

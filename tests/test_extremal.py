@@ -140,6 +140,21 @@ def test_kappa_blocks_m30_first_blocks():
             assert k[i] == kappa_squared(format(int(v[i]), "030b"))
 
 
+def test_scan_witnesses_match_bit_strings():
+    # witnesses formatted from their ints read as bit_strings renders the
+    # same values, at every m = 1..16, for both extremes
+    from delentropy import embedding
+
+    for m in range(1, 17):
+        for largest in (True, False):
+            best, wits = extremal._kappa_extreme(m, largest)
+            values = np.concatenate([v[k == best] for v, k in kappa_blocks(m)])
+            assert wits == embedding.bit_strings(values, m), (m, largest)
+            if m <= 12:
+                want = [x for x in all_bitstrings(m) if kappa_squared(x) == best]
+                assert wits == want, (m, largest)
+
+
 def test_search_kappa_min_memory():
     # blocks of 2^13 int64 patterns: a few 64 KiB arrays live at once,
     # never one over all 2^22 patterns (32 MiB) or all high fields

@@ -179,6 +179,48 @@ def test_exact_moment_set_consistency():
     assert ms.central[2] >= 0 and ms.central[4] >= 0
 
 
+def _central_by_fractions(raw):
+    """The central moments by the textbook Fraction formulas."""
+    e1, e2, e3, e4 = raw
+    return (
+        e1,
+        e2 - e1 * e1,
+        e3 - 3 * e2 * e1 + 2 * e1**3,
+        e4 - 4 * e3 * e1 + 6 * e2 * e1**2 - 3 * e1**4,
+    )
+
+
+def test_central_from_raw_matches_fraction_formulas():
+    from delentropy import empirical_moments, sample_histogram
+
+    # dyadic raw moments from the tensor DP, over one denominator 2^steps
+    rng = random.Random(17)
+    cases = [("0", 1), ("01", 4), ("0110", 4), ("1" * 9, 9), ("0110100110", 40)]
+    cases += [("".join(rng.choice("01") for _ in range(m)), n)
+              for m, n in ((3, 7), (5, 30), (12, 50), (20, 200))]
+    for x, n in cases:
+        raw = raw_moments(x, n, 4)
+        got = moments.central_from_raw(raw)
+        assert got == _central_by_fractions(raw), (x, n)
+        assert all(type(v) is Fraction for v in got[1:])
+        ms = exact_moment_set(x, n)
+        assert (ms.mean, ms.central[2], ms.central[3], ms.central[4]) == got
+    # non-dyadic raw moments of sampled histograms (sample sizes 3^k, 1000)
+    for x, n, size, seed in (("01", 12, 243, 1), ("0110", 30, 1000, 2), ("011", 9, 7, 3)):
+        hist = sample_histogram(x, n, size, seed)
+        raw = [Fraction(sum(w**j * c for w, c in hist.counts.items()), size)
+               for j in (1, 2, 3, 4)]
+        assert any(r.denominator & (r.denominator - 1) for r in raw)
+        ms = empirical_moments(hist)
+        want = _central_by_fractions(raw)
+        assert (ms.mean, ms.central[2], ms.central[3], ms.central[4]) == want
+        assert moments.central_from_raw(raw) == want
+    # ints, and denominators with no common factor
+    for raw in ([3, 10, 36, 138], [Fraction(1, 3), Fraction(1, 2), 5, Fraction(7, 9)],
+                [Fraction(-2, 5), Fraction(4, 7), Fraction(-1, 11), Fraction(13, 2)]):
+        assert moments.central_from_raw(raw) == _central_by_fractions(raw)
+
+
 # ---------------------------------------------------------------------------
 # autocorrelation
 # ---------------------------------------------------------------------------
@@ -248,6 +290,55 @@ def test_kappa_squared_past_int64():
         for x in xs:
             assert kappa_squared(x) == _masked_sum(x, tri), x
     assert 2 * kappa_max(31) > 2**63 and kappa_max(32) > 2**63
+
+
+def _kappa_by_generator(x):
+    """kappa2 by the closed form over interleaving_matrix, summing b'Mb with a
+    generator over the rare symbol's positions."""
+    m = len(x)
+    mat = interleaving_matrix(m)
+    rare = "1" if x.count("1") <= m // 2 else "0"
+    pos = [i for i, c in enumerate(x) if c == rare]
+    cross = sum(mat[r][s] for r in pos for s in pos)
+    return (m - 2 * len(pos)) * math.comb(2 * m - 1, m) + 2 * cross
+
+
+def test_kappa_squared_every_pattern_to_m10():
+    # each pattern against the interleavings counted one by one, tallied
+    # by (r, s) so that m = 10 (923780 interleavings) stays quick
+    from collections import Counter
+
+    from delentropy import all_bitstrings
+
+    for m in range(1, 11):
+        lays = Counter(oracles.single_overlap_interleavings(m))
+        for x in all_bitstrings(m):
+            assert kappa_squared(x) == oracles.brute_kappa_squared(x, lays), x
+
+
+def test_kappa_squared_few_rare_symbols_and_long_patterns():
+    # no rare symbol (constants) and exactly one, where one index is picked,
+    # at every m up to 70; then random patterns at m = 31 (past the scans'
+    # int64 bound), at m = 34 and 35 (the last packed length and the first
+    # unpacked one) and at m = 65 (past the table cache)
+    assert moments._PACKED_M == 34
+    assert math.comb(67, 34) < 2**64 <= math.comb(69, 35)
+    for m in range(1, 71):
+        xs = ["0" * m, "1" * m]
+        for i in range(m):
+            xs += ["0" * i + "1" + "0" * (m - 1 - i), "1" * i + "0" + "1" * (m - 1 - i)]
+        for x in xs:
+            assert kappa_squared(x) == _kappa_by_generator(x), x
+        assert kappa_squared("0" * m) == kappa_max(m)
+    rng = random.Random(65)
+    for m in (31, 34, 35, 64, 65):
+        for ones in (2, 3, m // 2, m // 2 + 1, m - 2):
+            for _ in range(4):
+                bits = ["0"] * m
+                for i in rng.sample(range(m), ones):
+                    bits[i] = "1"
+                x = "".join(bits)
+                assert kappa_squared(x) == _kappa_by_generator(x), x
 
 
 def test_kappa_tables_are_not_shared():
