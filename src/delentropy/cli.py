@@ -7,7 +7,9 @@ rendered by ``_row_chunks`` and written by ``_write``.  Exit codes:
 0 success, 1 internal failure (a proved statement falsified), 2 usage error,
 3 capacity error (a bound below refused the work, or it ran out of memory),
 4 notable finding (a predicted witness set deviated or the entropy ordering
-broke).
+broke), 141 stdout closed by its reader before all output was written
+(128 + SIGPIPE).  An output path that cannot be created or written is a
+usage error.
 
 The capacity bounds behind exit 3:
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from importlib import resources
 from pathlib import Path
@@ -49,6 +52,7 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 EXIT_FINDING = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a filter stopped by a closed pipe
 
 _WORKERS_HELP = "accepted for compatibility and ignored; one process does all work"
 
@@ -98,7 +102,8 @@ def _write(args, chunks, filename: str | None = None) -> None:
 
     An error raised while producing the first chunk surfaces before any
     output, and a file whose later chunks fail is removed, so a refused
-    command leaves no partial file behind.
+    command leaves no partial file behind.  An OSError from creating the
+    file's directory or writing the file is a usage error naming the file.
     """
     chunks = iter(chunks)
     first = next(chunks, "")
@@ -106,19 +111,19 @@ def _write(args, chunks, filename: str | None = None) -> None:
         sys.stdout.write(first)
         sys.stdout.writelines(chunks)
         return
-    dest = Path(args.out)
-    if filename is not None:
-        dest.mkdir(parents=True, exist_ok=True)
-        dest = dest / filename
-    else:
-        dest.parent.mkdir(parents=True, exist_ok=True)
+    dest = Path(args.out) if filename is None else Path(args.out) / filename
     try:
-        with dest.open("w") as fh:
-            fh.write(first)
-            fh.writelines(chunks)
-    except BaseException:
-        dest.unlink(missing_ok=True)
-        raise
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        fh = dest.open("w")
+        try:
+            with fh:
+                fh.write(first)
+                fh.writelines(chunks)
+        except BaseException:
+            dest.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise ValueError(f"cannot write {dest}: {exc.strerror}") from exc
 
 
 def _parse_n_range(text: str) -> range:
@@ -365,13 +370,11 @@ def build_repro_files() -> dict[str, str]:
 
 
 def _cmd_repro(args) -> int:
-    outdir = Path(args.out) if args.out else Path("repro_out")
-    outdir.mkdir(parents=True, exist_ok=True)
     files = build_repro_files()
     expected_root = resources.files("delentropy").joinpath("repro_expected")
     failures = 0
     for name, text in files.items():
-        (outdir / name).write_text(text)
+        _write(args, [text], name)
         expected = expected_root.joinpath(name)
         if not expected.is_file():
             print(f"missing expected file: {name}", file=sys.stderr)
@@ -478,7 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_posterior)
 
     p = subs.add_parser("repro", help="rebuild reference artifacts and diff them")
-    p.add_argument("--out", default=None, help="output directory (default repro_out)")
+    p.add_argument(
+        "--out", default="repro_out", help="output directory (default repro_out)"
+    )
     p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
     p.set_defaults(func=_cmd_repro)
 
@@ -488,7 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
@@ -502,6 +509,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed stdout (``| head``): point it at devnull so the
+        # interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -14,11 +14,6 @@ import math
 # raises the guard explicitly.
 DEFAULT_GUARD = 30
 
-# Exact enumeration keeps weights W <= C(n, m) and text multiplicities
-# <= 2^n in int64; both fit for every m only while n <= 62, so no guard
-# admits a larger n.
-_MAX_EXACT_N = 62
-
 
 class CapacityError(Exception):
     """Requested work or result exceeds a documented capacity bound."""
@@ -55,20 +50,6 @@ def check_lengths(m: int, n: int | None = None) -> int:
     if n is not None and n < m:
         raise ValueError(f"text length {n} shorter than pattern length {m}")
     return m
-
-
-def check_guard(n: int, guard: int | None) -> None:
-    if n > _MAX_EXACT_N:
-        raise CapacityError(
-            f"exact enumeration over 2^{n} texts refused: n <= {_MAX_EXACT_N} "
-            f"keeps weights and multiplicities within int64, whatever the guard"
-        )
-    limit = DEFAULT_GUARD if guard is None else guard
-    if n > limit:
-        raise CapacityError(
-            f"enumeration over 2^{n} texts exceeds the guard ({limit}); "
-            f"raise the guard explicitly to proceed"
-        )
 
 
 def binomial(n: int, k: int) -> int:

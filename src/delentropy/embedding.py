@@ -31,6 +31,11 @@ _ROWS = 1 << 14
 # 1 GiB admits n = 22 and refuses n = 23 for m = 1.
 _TABLE_BYTES = 1 << 30
 
+# Exact enumeration keeps weights W <= C(n, m) and text multiplicities
+# <= 2^n in int64; both fit for every m only while n <= 62, so no guard
+# admits a larger n.
+_MAX_EXACT_N = 62
+
 # Bytes per row of the dict ``posterior`` returns, on top of the n
 # characters of its text key: the str and int objects and the dict slot,
 # plus the weight row and text indices held while it fills.  The peak is
@@ -213,9 +218,10 @@ def _validate(x: str, n: int, guard: int | None) -> int:
 
 
 def check_enumeration(n: int, m: int, guard: int | None) -> None:
-    """Apply the guard to an enumeration of all 2^n texts for a length-m
-    pattern, and refuse it with CapacityError, naming the bytes, when the
-    peak of ``_half_tables`` would pass ``_TABLE_BYTES``.
+    """Admit an enumeration of all 2^n texts for a length-m pattern, or
+    refuse it with CapacityError: n > _MAX_EXACT_N, then n above the guard
+    (``core.DEFAULT_GUARD`` when None), then, naming the bytes, a peak of
+    ``_half_tables`` above ``_TABLE_BYTES``.
 
     The peak is the uint8 symbol rows of both halves, both int64 half
     tables, and the second table's uint32 rung while it widens to int64:
@@ -223,7 +229,17 @@ def check_enumeration(n: int, m: int, guard: int | None) -> None:
     depends on (n, m) alone and rises with n, so a range of n is refused,
     before any work, on its largest n.
     """
-    core.check_guard(n, guard)
+    if n > _MAX_EXACT_N:
+        raise core.CapacityError(
+            f"exact enumeration over 2^{n} texts refused: n <= {_MAX_EXACT_N} "
+            f"keeps weights and multiplicities within int64, whatever the guard"
+        )
+    limit = core.DEFAULT_GUARD if guard is None else guard
+    if n > limit:
+        raise core.CapacityError(
+            f"enumeration over 2^{n} texts exceeds the guard ({limit}); "
+            f"raise the guard explicitly to proceed"
+        )
     h, k = n // 2, n - n // 2
     need = ((h + 8 * (m + 1)) << h) + ((k + 12 * (m + 1)) << k)
     if need > _TABLE_BYTES:

@@ -9,13 +9,14 @@ for compatibility and ignored.
 ``kappa_blocks`` is the one kappa2 kernel behind both autocorrelation
 scans, the ordering table's kappa2 column and ``kappa --all``.  It writes
 kappa2 of a pattern with high field h, middle field u and low field v as a
-table over (u, v), formed once per scan, plus one row in u and one row in v
-per h, so each pattern costs two int64 additions.
+table over (u, v), built once per length and block size, plus one row in u
+and one row in v per h, so each pattern costs two int64 additions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,22 +24,21 @@ from . import core, embedding
 from .entropy import shannon_entropy
 from .moments import _interleaving_table, kappa_max
 
-# The scan's int64 values stay within +-4 * kappa_max(m).  M >= 0 entrywise
-# and sum(M) = kappa_max(m) = m C(2m-1, m), so for 0/1 fields f, g of
-# disjoint positions f'M_fg g + g'M_gf f <= kappa_max(m).  Of the three
-# partial terms (see kappa_blocks), table[u, v] is the kappa2 of the pattern
-# with h = 0, in [0, kappa_max(m)]; row_u[h, u] = own(h) + 4 h'M_hu u lies
-# in [-2c|h|, 2 (h'M_hh h + 2 h'M_hu u)], within +-2 * kappa_max(m); and
-# row_v[h, v] = 4 h'M_hv v is in [0, 2 * kappa_max(m)].  The sums that form
-# them, and table + row_u, stay within +-3 * kappa_max(m).
-# 4 * kappa_max(30) = 7.1e18 < 2^63.
+# The scan's int64 values stay within +-3 * kappa_max(m).  M >= 0 entrywise,
+# each row sums to c and sum(M) = kappa_max(m) = m c, so for 0/1 fields f, g
+# of disjoint positions (see kappa_blocks) each term f_i (A_ff f)_i of own(f)
+# is in [-2c, 0], and 2 f'A_fg g = 4 f'M_fg g in [0, 2 * kappa_max(m)]; the
+# matmuls forming them stay within +-2 * kappa_max(m).  Left to right,
+# m c + own(u) + own(v) is in +-kappa_max(m), the table (a kappa2) in
+# [0, kappa_max(m)], row_u = own(h) + 2 h'A_hu u in +-2 * kappa_max(m), and
+# table + row_u in [-2, 3] * kappa_max(m); 4 * kappa_max(30) = 7.1e18 < 2^63.
 _KAPPA_M_MAX = 30
 
 # Patterns per block of the kappa2 scan, a power of two: a block holds the
 # patterns sharing their high field and running over all log2(_KAPPA_BLOCK)
-# low bits.  At 2^13 a block's int64 arrays are 64 KiB; 2^14 blocks scan
-# m = 24 faster (0.053 s against 0.063 s) but m = 15 slower (0.7 ms
-# against 0.3 ms), and 2^15 and 2^16 blocks are slower from m = 15 on.
+# low bits.  At 2^13 a block's int64 arrays are 64 KiB.  With the set-up
+# cached, 2^14 blocks scan m = 13..15 no slower and m = 24 faster (25 ms
+# against 31 ms); 2^15 blocks are slower at m = 15..16, 2^16 from m = 15.
 _KAPPA_BLOCK = 1 << 13
 
 
@@ -104,16 +104,28 @@ def alternating_patterns(m: int) -> list[str]:
     return sorted({a, core.complement(a)})
 
 
-def _subset_sums(base: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """out[f] = base + the sum of rows[i] over the bits i set in f, for every
-    len(rows)-bit field f (bit 0 the most significant), by doubling: one
-    addition per output entry."""
-    k = len(rows)
-    out = np.empty((1 << k, len(base)), dtype=np.int64)
-    out[0] = base
-    for j in range(k):
-        np.add(out[: 1 << j], rows[k - 1 - j], out=out[1 << j : 2 << j])
-    return out
+def _own(bits: np.ndarray, a_ff: np.ndarray) -> np.ndarray:
+    """own(f) = f'A_ff f for each 0/1 row f of bits."""
+    return ((bits @ a_ff) * bits).sum(axis=1)
+
+
+@lru_cache(maxsize=_KAPPA_M_MAX)
+def _kappa_plan(m: int, k: int):
+    """The read-only (low, table, to_u, to_v, A_hh) of ``kappa_blocks``."""
+    c = core.binomial(2 * m - 1, m)
+    a = 2 * np.array(_interleaving_table(m), dtype=np.int64)
+    a -= 2 * c * np.eye(m, dtype=np.int64)
+    hi, k1 = m - k, k // 2
+    h_f, u_f, v_f = slice(0, hi), slice(hi, hi + k1), slice(hi + k1, m)
+    u_bits = embedding._bit_rows(np.arange(1 << k1), k1)
+    v_bits = embedding._bit_rows(np.arange(1 << (k - k1)), k - k1)
+    table = m * c + _own(u_bits, a[u_f, u_f])[:, None] + _own(v_bits, a[v_f, v_f])
+    table += 2 * (u_bits @ a[u_f, v_f] @ v_bits.T)
+    to_u, to_v = 2 * a[h_f, u_f] @ u_bits.T, 2 * a[h_f, v_f] @ v_bits.T
+    plan = np.arange(1 << k), table, to_u, to_v, a[h_f, h_f]
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
 
 
 def kappa_blocks(m: int):
@@ -122,19 +134,18 @@ def kappa_blocks(m: int):
     Patterns are integer values in increasing (lexicographic) order, and
     every block holds min(_KAPPA_BLOCK, 2^m) of them.  With symbols b in
     {0, 1} and M symmetric, [b_r = b_s] expands to 1 - b_r - b_s + 2 b_r b_s,
-    and every row of M sums to c = C(2m-1, m), so
-    kappa2(b) = (m - 2|b|) c + 2 b'Mb.
+    and every row of M sums to c = C(2m-1, m), so, as b_r^2 = b_r,
+    kappa2(b) = m c + b'Ab with A = 2M - 2cI.
     Cut b into a high field h, a middle field u of k1 bits and a low field v
-    of k2 bits, k1 + k2 = log2 of the block size, and write
-    own(f) = 2 f'M_ff f - 2c|f|.  Then kappa2 is the sum of
-      table[u, v] = m c + own(u) + own(v) + 4 u'M_uv v, formed once, its
-        sums over u by doubling;
-      row_u[h, u] = own(h) + 4 h'M_hu u;
-      row_v[h, v] = 4 h'M_hv v,
+    of k2 bits, k1 + k2 = k = log2 of the block size, and write
+    own(f) = f'A_ff f.  Then kappa2 is the sum of
+      table[u, v] = m c + own(u) + own(v) + 2 u'A_uv v;
+      row_u[h, u] = own(h) + 2 h'A_hu u;
+      row_v[h, v] = 2 h'A_hv v,
     so the block of one h is table + row_u[h][:, None] + row_v[h]: two
-    additions per pattern.  The row terms come from small matmuls over the
-    bit rows of at most 2^k1 high values at a time, never of all 2^hi, so
-    no row array outgrows a block.
+    additions per pattern.  ``_kappa_plan`` forms all that depends on (m, k)
+    alone once; the row terms are small matmuls over the bit rows of at most
+    2^k1 high values at a time, so no row array outgrows a block.
     """
     core.check_lengths(m)
     if m > _KAPPA_M_MAX:
@@ -142,25 +153,13 @@ def kappa_blocks(m: int):
             f"kappa2 scan over 2^{m} patterns refused: m <= {_KAPPA_M_MAX} "
             f"keeps 4 * kappa_max(m) within int64"
         )
-    mat = np.array(_interleaving_table(m), dtype=np.int64)
-    c = core.binomial(2 * m - 1, m)
     k = min(m, _KAPPA_BLOCK.bit_length() - 1)
-    hi, k1 = m - k, k // 2
-    h_f, u_f, v_f = slice(0, hi), slice(hi, hi + k1), slice(hi + k1, m)
-    u_bits = embedding._bit_rows(np.arange(1 << k1), k1)
-    v_bits = embedding._bit_rows(np.arange(1 << (k - k1)), k - k1)
-
-    def own(bits, f):
-        return 2 * ((bits @ mat[f, f]) * bits).sum(axis=1) - 2 * c * bits.sum(axis=1)
-
-    table = _subset_sums(m * c + own(v_bits, v_f), 4 * mat[u_f, v_f] @ v_bits.T)
-    table += own(u_bits, u_f)[:, None]
-    to_u, to_v = 4 * mat[h_f, u_f] @ u_bits.T, 4 * mat[h_f, v_f] @ v_bits.T
-    low = np.arange(1 << k)
-    for start in range(0, 1 << hi, 1 << k1):
-        highs = np.arange(start, min(start + (1 << k1), 1 << hi))
+    low, table, to_u, to_v, a_hh = _kappa_plan(m, k)
+    hi, step = m - k, len(table)
+    for start in range(0, 1 << hi, step):
+        highs = np.arange(start, min(start + step, 1 << hi))
         h_bits = embedding._bit_rows(highs, hi)
-        rows_u = h_bits @ to_u + own(h_bits, h_f)[:, None]
+        rows_u = h_bits @ to_u + _own(h_bits, a_hh)[:, None]
         rows_v = h_bits @ to_v
         for h, row_u, row_v in zip(highs.tolist(), rows_u, rows_v):
             block = table + row_u[:, None]

@@ -407,6 +407,24 @@ def test_capacity_exit(capsys):
         assert bound in err and "Traceback" not in err
 
 
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    # --out below, or as, a regular file: one usage error naming the path,
+    # exit 2, and no file created
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for argv, path in [
+        (["hist", "01", "5", "--out", str(afile / "x.csv")], afile / "x.csv"),
+        (["hist", "01", "5..6", "--out", str(afile)], afile / "hist_01_n05.csv"),
+        (["repro", "--out", str(afile)], afile / "table_n8_m5.csv"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert f"cannot write {path}: " in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert afile.read_text() == ""
+
+
 def _half_table_bytes(n, m):
     """The bytes of the half tables of an enumeration over 2^n texts."""
     h, k = n // 2, n - n // 2
@@ -549,16 +567,34 @@ def test_repro_reports_mismatch_and_missing(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
-def test_module_entry_point_matches_main(capsys):
-    # perfbench runs the CLI as ``python -m delentropy.cli``
+def _module_env():
+    """The environment of a ``python -m delentropy.cli`` subprocess that
+    imports this package."""
     env = dict(os.environ)
     src = str(Path(cli.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_matches_main(capsys):
+    # perfbench runs the CLI as ``python -m delentropy.cli``
     for argv in (["kappa", "0110"], ["table", "10", "17"]):
         proc = subprocess.run([sys.executable, "-m", "delentropy.cli", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=_module_env(),
+                              timeout=60)
         assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
     assert proc.returncode == 3
+
+
+def test_closed_stdout_exits_141():
+    # a reader that stops after one line: exit 128 + SIGPIPE, no traceback
+    argv = [sys.executable, "-m", "delentropy.cli", "kappa", "--all", "16"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=_module_env()) as proc:
+        assert proc.stdout.readline() == "pattern,kappa2\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (141, "")
 
 
 def test_out_file_single(tmp_path, capsys):

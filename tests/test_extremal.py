@@ -129,15 +129,40 @@ def test_kappa_extremes_m17_to_20_pinned():
 
 
 def test_kappa_blocks_m30_first_blocks():
-    # at the largest admitted m the first block is the table alone (h = 0)
-    # and the second adds the row terms of h = 1
-    (v0, k0), (v1, k1) = itertools.islice(kappa_blocks(30), 2)
-    assert v0[0] == 0 and k0[0] == kappa_max(30)
-    assert v1[0] == len(v0) == extremal._KAPPA_BLOCK
+    # past the full scans of m <= 20, up to the largest admitted m = 30: the
+    # first block is the table alone (h = 0) and the second adds the row
+    # terms of h = 1
     rng = np.random.default_rng(30)
-    for v, k in ((v0, k0), (v1, k1)):
-        for i in rng.choice(len(v), 200, replace=False).tolist():
-            assert k[i] == kappa_squared(format(int(v[i]), "030b"))
+    for m in range(21, 31):
+        (v0, k0), (v1, k1) = itertools.islice(kappa_blocks(m), 2)
+        assert v0[0] == 0 and k0[0] == kappa_max(m)
+        assert v1[0] == len(v0) == extremal._KAPPA_BLOCK
+        for v, k in ((v0, k0), (v1, k1)):
+            for i in rng.choice(len(v), 200, replace=False).tolist():
+                assert k[i] == kappa_squared(format(int(v[i]), f"0{m}b")), m
+
+
+def test_kappa_plan_built_once_per_length():
+    # both scans and a bare block stream share one plan per (m, block size)
+    extremal._kappa_plan.cache_clear()
+    search_kappa_min(14)
+    verify_kappa_max(14)
+    next(kappa_blocks(14))
+    info = extremal._kappa_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+
+
+def test_kappa_plan_arrays_read_only():
+    # a caller cannot corrupt a later scan through the cached arrays, and
+    # the blocks it is handed are its own
+    next(kappa_blocks(20))
+    for arr in extremal._kappa_plan(20, 13):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 1
+    patterns, block = next(kappa_blocks(20))
+    patterns[0] = block[0] = -1
+    patterns, block = next(kappa_blocks(20))
+    assert (patterns[0], block[0]) == (0, kappa_max(20))
 
 
 def test_scan_witnesses_match_bit_strings():
