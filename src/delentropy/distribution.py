@@ -15,6 +15,7 @@ holds them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,10 +46,21 @@ _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 # block size 1..64 (59310 B over the per-text charge at x = "0" * 135,
 # n = 140, size 61; 40331 B at x = "01101", n = 20000, size 2).
 # sample_histogram refuses a block that would need more bytes than this.
+# It refuses the tally of the whole sample on the same bound, charged on its
+# own: a group's weights, up to _PAIRS of them, are held while one
+# np.unique reduces them (41 B per weight at its peak by tracemalloc, plus
+# the weight's Python int on the big-int path), and the tally's peak comes
+# as its dict last doubles, with the old and new tables (at most 90 B per
+# entry), the key ints and the merged weight and multiplicity arrays (16 B)
+# alive: 107 + b bytes per distinct weight, b = sys.getsizeof(C(n, m))
+# bounding a key, for at most min(sample size, C(n, m) + 1) weights (by
+# tracemalloc, 123 B per weight beside the arrays at 87382 int64 weights of
+# 32 B, just past a doubling: the worst case, and 91 + b).
 _BLOCK_BYTES = 1 << 30
 
 # Pairs of half-text classes whose weights exact_histogram forms at once,
-# and the fewest pending entries _tally merges; bounds their int64
+# the sampled weights one np.unique reduces at once (_PAIRS // _BLOCK
+# blocks), and the fewest pending entries _tally merges; bounds their
 # temporaries to a few MiB.
 _PAIRS = 1 << 18
 
@@ -128,7 +140,9 @@ def _tally(blocks) -> dict[int, int]:
     int64.  Pending blocks are concatenated and merged once they hold at
     least _PAIRS entries and twice what the last merge kept, so memory
     stays O(distinct weights + _PAIRS) and each entry is re-sorted O(1)
-    times, amortized.  A lone pending block is already merged.
+    times, amortized.  A lone pending block is already merged.  The dict,
+    in ascending weight order, is filled from _BLOCK-entry slices of the
+    merged arrays, so no full-length list of Python ints is held beside it.
     """
     pending, size, limit = [], 0, _PAIRS
     for block in blocks:
@@ -141,7 +155,11 @@ def _tally(blocks) -> dict[int, int]:
     if len(pending) > 1:
         pending = [_merge(*map(np.concatenate, zip(*pending)))]
     weights, mult = pending[0]
-    return dict(zip(weights.tolist(), mult.tolist()))
+    counts = {}
+    for lo in range(0, len(weights), _BLOCK):
+        hi = lo + _BLOCK
+        counts.update(zip(weights[lo:hi].tolist(), mult[lo:hi].tolist()))
+    return counts
 
 
 def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarray:
@@ -199,8 +217,12 @@ def _stream_bits(seed: int, stream: int, size: int, n: int) -> np.ndarray:
 
 def check_sample_block(n: int, m: int, sample_size: int) -> None:
     """A CapacityError if one sample block of length-n texts, for a length-m
-    pattern, would need more than ``_BLOCK_BYTES``: 2n + 25(m+1) bytes per
-    text and 3n + 2^16 per block (see ``_BLOCK_BYTES``)."""
+    pattern, or the tally of the whole sample would need more than
+    ``_BLOCK_BYTES`` (see there).  A block costs 2n + 25(m+1) bytes per
+    text and 3n + 2^16 per block; the tally 107 + b bytes for each distinct
+    weight it can hold, min(sample_size, C(n, m) + 1), and 41 + b for each
+    weight of a pending group, b being the bytes of C(n, m) as a Python
+    int."""
     block = min(_BLOCK, sample_size)
     per_text = 2 * n + 25 * (m + 1)
     per_block = 3 * n + (1 << 16)
@@ -210,6 +232,19 @@ def check_sample_block(n: int, m: int, sample_size: int) -> None:
             f"a sample block of {block} texts of length {n} needs {need} bytes "
             f"({per_text} per text for a length-{m} pattern, plus {per_block} "
             f"per block), over the {_BLOCK_BYTES}-byte bound"
+        )
+    top = core.binomial(n, m)
+    distinct = min(sample_size, top + 1)
+    pending = min(sample_size, max(1, _PAIRS // _BLOCK) * _BLOCK)
+    b = sys.getsizeof(top)
+    per_weight, per_pending = 107 + b, 41 + b
+    need = distinct * per_weight + pending * per_pending
+    if need > _BLOCK_BYTES:
+        raise core.CapacityError(
+            f"the tally of {sample_size} sampled texts of length {n} needs "
+            f"{need} bytes ({per_weight} per distinct weight, up to {distinct} "
+            f"for a length-{m} pattern, plus {per_pending} per weight of a "
+            f"{pending}-weight group), over the {_BLOCK_BYTES}-byte bound"
         )
 
 
@@ -224,23 +259,29 @@ def sample_histogram(
     """Histogram of weights over sample_size uniform random texts.
 
     Reproducible: the (seed, sample_size) pair fully determines the result
-    (see the block-to-stream rule above).  Each block's weights from
-    ``_count_block`` are reduced by ``np.unique`` and the blocks are summed
-    by ``_tally``, so no more than one block of per-sample weights is held
-    at a time.  ``workers`` is accepted for compatibility and ignored.
-    There is no enumeration guard, so this extends histograms past it; a
-    block needing more than ``_BLOCK_BYTES`` is refused before any draw.
+    (see the block-to-stream rule above).  The weights of each run of
+    ``_PAIRS // _BLOCK`` blocks from ``_count_block`` are concatenated and
+    reduced by one ``np.unique``, and the runs are summed by ``_tally``, so
+    no more than ``_PAIRS`` per-sample weights are held at a time and memory
+    stays O(distinct weights + ``_PAIRS``).  ``workers`` is accepted for
+    compatibility and ignored.  There is no enumeration guard, so this
+    extends histograms past it; a block or a tally needing more than
+    ``_BLOCK_BYTES`` is refused before any draw.
     """
     m = core.check_lengths(len(core.validate_pattern(x)), n)
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     check_sample_block(n, m, sample_size)
+    group = max(1, _PAIRS // _BLOCK) * _BLOCK
     counts = _tally(
         np.unique(
-            _count_block(x, n, seed, j, min(_BLOCK, sample_size - j * _BLOCK)),
+            np.concatenate([
+                _count_block(x, n, seed, j // _BLOCK, min(_BLOCK, sample_size - j))
+                for j in range(lo, min(lo + group, sample_size), _BLOCK)
+            ]),
             return_counts=True,
         )
-        for j in range((sample_size + _BLOCK - 1) // _BLOCK)
+        for lo in range(0, sample_size, group)
     )
     return WeightHistogram(
         pattern=x,

@@ -57,8 +57,9 @@ def shannon_entropy(x: str, n: int, *, guard: int | None = None) -> float:
     Texts with equal weight are grouped through the exact histogram, so the
     log accumulation runs over distinct weight classes with exact
     multiplicities; floats appear only in the per-class products.  The
-    products are summed with ``math.fsum`` in weight order, so patterns
-    with equal histograms get bit-identical entropies.
+    products are summed with ``math.fsum``, which rounds the exact sum
+    once whatever the order of its terms, so patterns with equal
+    histograms get bit-identical entropies.
     """
     return _shannon_bits(exact_histogram(x, n, guard=guard))
 
@@ -69,7 +70,7 @@ def _shannon_bits(hist: WeightHistogram) -> float:
     mu = total_masks(hist.text_length, len(hist.pattern))
     acc = math.fsum(
         mult * w / mu * math.log2(w)
-        for w, mult in sorted(hist.counts.items())
+        for w, mult in hist.counts.items()
         if w > 1
     )
     return math.log2(mu) - acc

@@ -42,10 +42,45 @@ def test_tally_merges_across_chunks(monkeypatch):
     # a tiny pair budget splits the weights into many chunks and forces the
     # running merges of the tally; the results must not change
     sampled = sample_histogram("0110", 20, 3 * 8192 + 77, seed=5).counts
+    # int64 weights, then object weights (C(n, m) >= 2^62)
+    assert math.comb(96, 8) < 2**62 <= math.comb(66, 33)
+    grouped = {
+        args: sample_histogram(*args, seed=5).counts
+        for args in (("11001000", 96, 5 * 8192 + 77), ("01" * 16 + "0", 66, 2 * 8192 + 77))
+    }
     monkeypatch.setattr(distribution, "_PAIRS", 64)
     for x, n in (("01010", 14), ("0110", 13), ("1", 9), ("000", 12)):
         assert exact_histogram(x, n).counts == oracles.vector_histogram(x, n)
     assert sample_histogram("0110", 20, 3 * 8192 + 77, seed=5).counts == sampled
+    # groups of two blocks plus a partial last one, each reduced by its own
+    # np.unique, so the tally merges across groups; neither the counts nor
+    # their ascending key order may change
+    monkeypatch.setattr(distribution, "_PAIRS", 2 * distribution._BLOCK)
+    for args, want in grouped.items():
+        got = sample_histogram(*args, seed=5).counts
+        assert got == want and list(got) == list(want) == sorted(want)
+
+
+def test_sample_tally_peak_beside_histogram(monkeypatch):
+    # beside the dict it returns, the sampled tally holds at its peak the
+    # merged weight and multiplicity arrays (16 B per distinct weight), the
+    # dict's old table while it last doubles (at most 30 B per weight) and
+    # one _BLOCK-entry slice, not two full-length lists of the weights
+    import tracemalloc
+
+    sample_histogram("11001000", 96, 100, seed=1)
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    h = sample_histogram("11001000", 96, 10**5, seed=1)
+    held, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert len(h.counts) > 99_000
+    assert peak - held <= 46 * len(h.counts) + 2**19
+    assert held - base > 64 * len(h.counts)
+    # and the peak is within the bytes check_sample_block charges the tally
+    monkeypatch.setattr(distribution, "_BLOCK_BYTES", peak - base - 1)
+    with pytest.raises(CapacityError, match="the tally of 100000 sampled texts"):
+        distribution.check_sample_block(96, 8, 10**5)
 
 
 def test_distinct_columns_match_unique_axis1():
@@ -376,9 +411,15 @@ def test_sample_histogram_block_bytes(monkeypatch):
     monkeypatch.setattr(distribution, "_count_block", no_draw)
     with pytest.raises(CapacityError, match="over the 1073741824-byte bound"):
         sample_histogram("01", 10**6, 100_000, seed=1)
+    # the tally of 10^8 texts can hold 10^8 distinct weights, some 13.9 GB
+    with pytest.raises(CapacityError, match="the tally of 100000000 sampled texts"):
+        sample_histogram("10010110", 200, 10**8, seed=1)
     monkeypatch.undo()
     for n in (64, 200):
         assert sample_histogram("01", n, 10_000, seed=1).total() == 10_000
+    # the 10^5-text sampled jobs of the text-enum benchmark stay admitted
+    for m, n in ((5, 64), (8, 96), (8, 128), (8, 200)):
+        distribution.check_sample_block(n, m, 100_000)
 
 
 def test_sample_histogram_validation():

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from delentropy import (
     complement,
     entropy_report,
+    exact_histogram,
     exact_moment_set,
     gaussian_limit_moments,
     kappa_squared,
@@ -17,6 +19,7 @@ from delentropy import (
     shannon_entropy,
     total_masks,
 )
+from delentropy import entropy
 from delentropy.core import CapacityError
 from delentropy.moments import MomentSet
 
@@ -63,6 +66,16 @@ def test_shannon_bit_identical_on_symmetry_orbits(m, n):
         h = shannon_entropy(x, n)
         assert shannon_entropy(complement(x), n) == h
         assert shannon_entropy(reverse(x), n) == h
+
+
+@pytest.mark.parametrize("x,n", [("01101", 12), ("0110100110", 16), ("000", 14)])
+def test_shannon_bit_identical_on_reversed_counts(x, n):
+    # fsum rounds once whatever the order, so the same counts inserted in
+    # reverse give the same bits
+    hist = exact_histogram(x, n)
+    flipped = replace(hist, counts=dict(reversed(hist.counts.items())))
+    assert list(flipped.counts) != list(hist.counts)
+    assert entropy._shannon_bits(flipped) == entropy._shannon_bits(hist)
 
 
 def test_shannon_guard():
