@@ -17,19 +17,19 @@ The capacity bounds behind exit 3:
   all 2^n texts, checked on the largest n of a range before any work;
 * n <= 62 for exact enumeration whatever the guard, so weights and
   multiplicities fit int64;
-* 2^30 bytes for the symbol rows and half tables of an exact enumeration
-  (``hist``, ``table``, ``posterior``, ``entropy``, ``extremal --criterion
-  entropy-min``), checked on the largest n of a range before any work;
+* one byte bound of 2^30 bytes (``core.MAX_BYTES``) for each of: the
+  symbol rows and half tables of an exact enumeration (``hist``,
+  ``table``, ``posterior``, ``entropy``, ``extremal --criterion
+  entropy-min``); the dict the library's ``posterior()`` returns (the
+  ``posterior`` subcommand streams its rows, so only the guard bounds it);
+  and one block, and the tally, of a sampled histogram (``hist
+  --sample``); a range of n is checked on its largest n before any work;
 * m <= 30 for the kappa2 scans and ``kappa --all``;
 * m <= 16 for ``table``, which ranks all 2^m patterns;
 * 2^27 cell-steps for an exact moment tensor (``moments``, ``gaussian``,
   ``entropy --mode estimate``); a ``gaussian`` range is costed before any
   work as one tensor pass plus 4 * min(n, 4m) products per n when the full
   pass fits, and as the sum of its per-n passes otherwise;
-* 2^30 bytes for the dict the library's ``posterior()`` returns (the
-  ``posterior`` subcommand streams its rows, so only the guard bounds it);
-* 2^30 bytes for one block of a sampled histogram (``hist --sample``),
-  checked on the largest n of a range before any work;
 * the float range for asymptotic moments.
 """
 

@@ -8,11 +8,17 @@ Floating point enters only in entropy values and diagnostics, never in counts.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 # Operations that walk all 2^n texts refuse larger n unless the caller
 # raises the guard explicitly.
 DEFAULT_GUARD = 30
+
+# The one byte bound, read when it runs by every check that costs bytes:
+# ``check_enumeration`` and ``_check_dict`` in embedding, and
+# ``check_sample_block`` in distribution.
+MAX_BYTES = 1 << 30
 
 
 class CapacityError(Exception):
@@ -78,18 +84,7 @@ def runs(s: str) -> list[tuple[str, int]]:
     Concatenating ``symbol * length`` over the result reproduces ``s``.
     The empty string is rejected.
     """
-    validate_pattern(s)
-    out: list[tuple[str, int]] = []
-    prev = s[0]
-    count = 0
-    for c in s:
-        if c == prev:
-            count += 1
-        else:
-            out.append((prev, count))
-            prev, count = c, 1
-    out.append((prev, count))
-    return out
+    return [(c, len(list(run))) for c, run in itertools.groupby(validate_pattern(s))]
 
 
 def all_bitstrings(m: int):

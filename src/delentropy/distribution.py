@@ -4,7 +4,7 @@ The histogram of W (embedding count of a fixed pattern in a uniform random
 text) includes the zero bin: texts that cannot produce the pattern are part
 of the text space even though they carry no posterior mass.
 
-Both histograms split each text at its midpoint, y = uv with |u| = n // 2,
+Both histograms split each text at its midpoint (``embedding._halves``),
 and form W(uv) = sum_i c_i(u) * s_i(v) from prefix counts of x in u and
 suffix counts of x in v: the exact one over all half-texts at once, the
 sampled one per drawn text.  Both take c_i and s_i from
@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core
-from .embedding import _half_counts, _half_tables, _walker
+from .embedding import _half_counts, _half_tables, _halves, _walker
 from .moments import MomentSet, central_from_raw
 
 # Sample index s is drawn by PRNG stream s // _BLOCK; stream j is the raw
@@ -33,30 +33,6 @@ _BLOCK = 8192
 # The draws one PCG64.jumped() step skips: (phi - 1) * 2^128, phi the golden
 # ratio, as numpy's PCG64 documents it.
 _JUMP = 0x9E3779B97F4A7C15F39CC0605CEDC835
-
-# A block holds its texts' bits twice while they are drawn, as raw stream
-# bytes and as the shifted (n, size) uint8 layout; then the bits, the int64
-# prefix-half table and, at worst, the int64 suffix-half table with one
-# step's bool mask and int64 product: under 2n + 25(m+1) bytes per text in
-# all (3548 of 3680 at x = "0" * 135, n = 140, by tracemalloc).  On top of
-# that a block holds, whatever its size, the text being walked on the
-# big-int path (its byte slice and decoded str, 2n + 82 bytes) and numpy's
-# casting buffers (up to 64 KiB at the default bufsize): charged as
-# 3n + 2^16 bytes per block, which covers the tracemalloc peak of every
-# block size 1..64 (59310 B over the per-text charge at x = "0" * 135,
-# n = 140, size 61; 40331 B at x = "01101", n = 20000, size 2).
-# sample_histogram refuses a block that would need more bytes than this.
-# It refuses the tally of the whole sample on the same bound, charged on its
-# own: a group's weights, up to _PAIRS of them, are held while one
-# np.unique reduces them (41 B per weight at its peak by tracemalloc, plus
-# the weight's Python int on the big-int path), and the tally's peak comes
-# as its dict last doubles, with the old and new tables (at most 90 B per
-# entry), the key ints and the merged weight and multiplicity arrays (16 B)
-# alive: 107 + b bytes per distinct weight, b = sys.getsizeof(C(n, m))
-# bounding a key, for at most min(sample size, C(n, m) + 1) weights (by
-# tracemalloc, 123 B per weight beside the arrays at 87382 int64 weights of
-# 32 B, just past a doubling: the worst case, and 91 + b).
-_BLOCK_BYTES = 1 << 30
 
 # Pairs of half-text classes whose weights exact_histogram forms at once,
 # the sampled weights one np.unique reduces at once (_PAIRS // _BLOCK
@@ -88,7 +64,7 @@ def exact_histogram(x: str, n: int, *, guard: int | None = None) -> WeightHistog
     """Exact multiplicity of every weight value over all 2^n texts.
 
     Meet in the middle on the half tables of ``_half_tables``: each text
-    splits as y = uv with |u| = n // 2, and W(uv) = sum_i c_i(u) * s_i(v),
+    splits as y = uv at its midpoint, and W(uv) = sum_i c_i(u) * s_i(v),
     where c_i(u) counts x[:i] in u and s_i(v) counts x[i:] in v.  Halves
     with equal count columns are merged with their multiplicities
     (``_distinct_columns``), and W = C.T @ S is tallied over all pairs of
@@ -166,7 +142,7 @@ def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarra
     """Weights of one PRNG stream's slice of the sample index space.
 
     The texts are the columns of ``_stream_bits``.  Each splits at its
-    midpoint as y = uv with |u| = h = n // 2, as in ``exact_histogram``,
+    midpoint (``_halves``) as y = uv, |u| = h, as in ``exact_histogram``,
     and W(uv) = sum_i c_i(u) * s_i(v) is summed in int64 over the
     ``_half_counts`` of bits[:h] and bits[h:], each half stepped in the
     narrowest type of the uint8 -> uint16 -> uint32 -> int64 ladder that
@@ -187,7 +163,7 @@ def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarra
             [walk(chars[i : i + n].decode("ascii")) for i in range(0, size * n, n)],
             dtype=object,
         )
-    h = n // 2
+    h = _halves(n)[0]
     pre, suf = _half_counts(x, bits[:h], bits[h:])
     # Half rows may pass 2^64 and wrap (C(70, 35) > 2^64 at x = "0" * 135,
     # n = 140), but int64 arithmetic is exact mod 2^64 and W <= C(n, m) <
@@ -215,37 +191,57 @@ def _stream_bits(seed: int, stream: int, size: int, n: int) -> np.ndarray:
     return bits
 
 
-def check_sample_block(n: int, m: int, sample_size: int) -> None:
-    """A CapacityError if one sample block of length-n texts, for a length-m
-    pattern, or the tally of the whole sample would need more than
-    ``_BLOCK_BYTES`` (see there).  A block costs 2n + 25(m+1) bytes per
-    text and 3n + 2^16 per block; the tally 107 + b bytes for each distinct
-    weight it can hold, min(sample_size, C(n, m) + 1), and 41 + b for each
-    weight of a pending group, b being the bytes of C(n, m) as a Python
-    int."""
+def check_sample_block(n: int, m: int, sample_size: int) -> int:
+    """The group size of a sample, the weights one np.unique reduces at
+    once: max(1, _PAIRS // _BLOCK) whole blocks, or the whole sample if
+    smaller.  A CapacityError instead if one block of length-n texts, for
+    a length-m pattern, or the tally of the whole sample (charged on its
+    own) would need more than ``core.MAX_BYTES``.
+
+    A block holds its texts' bits twice while they are drawn (raw stream
+    bytes and the (n, size) uint8 layout), then the bits, the int64 prefix
+    table and, at worst, the int64 suffix table with one step's bool mask
+    and int64 product: under 2n + 25(m+1) bytes per text (3548 of 3680 at
+    x = "0" * 135, n = 140, by tracemalloc).  Whatever its size it also
+    holds the text walked on the big-int path (2n + 82 bytes) and numpy's
+    casting buffers (up to 64 KiB): 3n + 2^16 bytes per block, which covers
+    the tracemalloc peak of every block size 1..64 (59310 B over the
+    per-text charge at x = "0" * 135, n = 140, size 61; 40331 B at
+    x = "01101", n = 20000, size 2).  The tally holds a group's weights
+    while np.unique reduces them (41 B per weight at its peak by
+    tracemalloc, plus the weight's Python int on the big-int path), and
+    peaks as its dict last doubles, with the old and new tables (at most
+    90 B per entry), the key ints and the merged weight and multiplicity
+    arrays (16 B) alive: 107 + b bytes per distinct weight,
+    b = sys.getsizeof(C(n, m)) bounding a key, for at most
+    min(sample_size, C(n, m) + 1) weights (by tracemalloc, 123 B per weight
+    beside the arrays at 87382 int64 weights of 32 B, just past a doubling:
+    the worst case, and 91 + b).
+    """
     block = min(_BLOCK, sample_size)
     per_text = 2 * n + 25 * (m + 1)
     per_block = 3 * n + (1 << 16)
     need = block * per_text + per_block
-    if need > _BLOCK_BYTES:
+    if need > core.MAX_BYTES:
         raise core.CapacityError(
             f"a sample block of {block} texts of length {n} needs {need} bytes "
             f"({per_text} per text for a length-{m} pattern, plus {per_block} "
-            f"per block), over the {_BLOCK_BYTES}-byte bound"
+            f"per block), over the {core.MAX_BYTES}-byte bound"
         )
     top = core.binomial(n, m)
     distinct = min(sample_size, top + 1)
-    pending = min(sample_size, max(1, _PAIRS // _BLOCK) * _BLOCK)
+    group = min(sample_size, max(1, _PAIRS // _BLOCK) * _BLOCK)
     b = sys.getsizeof(top)
     per_weight, per_pending = 107 + b, 41 + b
-    need = distinct * per_weight + pending * per_pending
-    if need > _BLOCK_BYTES:
+    need = distinct * per_weight + group * per_pending
+    if need > core.MAX_BYTES:
         raise core.CapacityError(
             f"the tally of {sample_size} sampled texts of length {n} needs "
             f"{need} bytes ({per_weight} per distinct weight, up to {distinct} "
             f"for a length-{m} pattern, plus {per_pending} per weight of a "
-            f"{pending}-weight group), over the {_BLOCK_BYTES}-byte bound"
+            f"{group}-weight group), over the {core.MAX_BYTES}-byte bound"
         )
+    return group
 
 
 def sample_histogram(
@@ -259,20 +255,19 @@ def sample_histogram(
     """Histogram of weights over sample_size uniform random texts.
 
     Reproducible: the (seed, sample_size) pair fully determines the result
-    (see the block-to-stream rule above).  The weights of each run of
-    ``_PAIRS // _BLOCK`` blocks from ``_count_block`` are concatenated and
-    reduced by one ``np.unique``, and the runs are summed by ``_tally``, so
-    no more than ``_PAIRS`` per-sample weights are held at a time and memory
-    stays O(distinct weights + ``_PAIRS``).  ``workers`` is accepted for
-    compatibility and ignored.  There is no enumeration guard, so this
-    extends histograms past it; a block or a tally needing more than
-    ``_BLOCK_BYTES`` is refused before any draw.
+    (see the block-to-stream rule above).  The weights of each group of
+    blocks from ``_count_block``, sized by ``check_sample_block``, are
+    concatenated and reduced by one ``np.unique``, and the groups are summed
+    by ``_tally``, so no more than ``_PAIRS`` per-sample weights are held at
+    a time and memory stays O(distinct weights + ``_PAIRS``).  ``workers``
+    is accepted for compatibility and ignored.  There is no enumeration
+    guard, so this extends histograms past it; a block or a tally over
+    ``core.MAX_BYTES`` is refused before any draw.
     """
     m = core.check_lengths(len(core.validate_pattern(x)), n)
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
-    check_sample_block(n, m, sample_size)
-    group = max(1, _PAIRS // _BLOCK) * _BLOCK
+    group = check_sample_block(n, m, sample_size)
     counts = _tally(
         np.unique(
             np.concatenate([

@@ -24,13 +24,6 @@ from . import core
 # bounds the character block of bit_strings to (n + 1) * 16 KiB.
 _ROWS = 1 << 14
 
-# Bytes an exact enumeration may hold.  The row stream holds its two half
-# tables, their symbol rows and one block, which ``_validate`` costs: 1 GiB
-# admits n = 46 and refuses n = 47 for m = 1.  The dict ``posterior``
-# returns holds every row of the support, which ``_check_dict`` costs:
-# 1 GiB admits n = 22 and refuses n = 23 for m = 1.
-_TABLE_BYTES = 1 << 30
-
 # Exact enumeration keeps weights W <= C(n, m) and text multiplicities
 # <= 2^n in int64; both fit for every m only while n <= 62, so no guard
 # admits a larger n.
@@ -202,12 +195,6 @@ def bit_strings(values: np.ndarray, width: int) -> list[str]:
     return chars.tobytes().decode("ascii").splitlines()
 
 
-def _bit_rows(values: np.ndarray, width: int) -> np.ndarray:
-    """The 0/1 int64 (len(values), width) bit rows of values, most
-    significant bit first."""
-    return (values[:, None] >> np.arange(width - 1, -1, -1)) & 1
-
-
 def _validate(x: str, n: int, guard: int | None) -> int:
     """Check x and n for an enumeration of all 2^n texts, apply
     ``check_enumeration``, and return m; nothing is allocated before the
@@ -221,13 +208,14 @@ def check_enumeration(n: int, m: int, guard: int | None) -> None:
     """Admit an enumeration of all 2^n texts for a length-m pattern, or
     refuse it with CapacityError: n > _MAX_EXACT_N, then n above the guard
     (``core.DEFAULT_GUARD`` when None), then, naming the bytes, a peak of
-    ``_half_tables`` above ``_TABLE_BYTES``.
+    ``_half_tables`` above ``core.MAX_BYTES``.
 
     The peak is the uint8 symbol rows of both halves, both int64 half
     tables, and the second table's uint32 rung while it widens to int64:
     within 1% of tracemalloc's peak for m = 1..20 at n = 22..26.  It
     depends on (n, m) alone and rises with n, so a range of n is refused,
-    before any work, on its largest n.
+    before any work, on its largest n: 1 GiB admits n = 46 and refuses
+    n = 47 for m = 1.
     """
     if n > _MAX_EXACT_N:
         raise core.CapacityError(
@@ -240,14 +228,19 @@ def check_enumeration(n: int, m: int, guard: int | None) -> None:
             f"enumeration over 2^{n} texts exceeds the guard ({limit}); "
             f"raise the guard explicitly to proceed"
         )
-    h, k = n // 2, n - n // 2
+    h, k = _halves(n)
     need = ((h + 8 * (m + 1)) << h) + ((k + 12 * (m + 1)) << k)
-    if need > _TABLE_BYTES:
+    if need > core.MAX_BYTES:
         raise core.CapacityError(
             f"enumeration over 2^{n} texts refused: the symbol rows and half "
             f"tables of its half-texts need about {need} bytes "
-            f"({need / 2**30:.1f} GiB), above the bound of {_TABLE_BYTES} bytes"
+            f"({need / 2**30:.1f} GiB), above the bound of {core.MAX_BYTES} bytes"
         )
+
+
+def _halves(n: int) -> tuple[int, int]:
+    """(|u|, |v|) of the one split y = uv of a length-n text: |u| = n // 2."""
+    return n // 2, n - n // 2
 
 
 def _half_bits(k: int) -> np.ndarray:
@@ -256,7 +249,8 @@ def _half_bits(k: int) -> np.ndarray:
 
     Row j is 2^j repeats of 2^(k-1-j) zeros then as many ones, so its ones
     are written in place through a (2^j, 2, 2^(k-1-j)) view and no
-    (2^k, k) temporary is formed.
+    (2^k, k) temporary is formed.  The kappa2 scan takes its bit rows of
+    consecutive integers from the transpose.
     """
     rows = np.zeros((k, 1 << k), dtype=np.uint8)
     for j in range(k):
@@ -265,9 +259,9 @@ def _half_bits(k: int) -> np.ndarray:
 
 
 def _half_tables(x: str, n: int, guard: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """(pre, suf): the ``_half_counts`` of x over all 2^(n // 2) halves u
-    and all 2^(n - n // 2) halves v of y = uv, column u of pre and column v
-    of suf being the texts of binary value u and v.
+    """(pre, suf): the ``_half_counts`` of x over all 2^|u| halves u and
+    all 2^|v| halves v of y = uv split by ``_halves``, column u of pre and
+    column v of suf being the texts of binary value u and v.
 
     An embedding puts some prefix x[:i] in u and the rest in v, so
     W(uv) = pre[:, u] @ suf[:, v]; the exact histogram and the posterior
@@ -279,20 +273,21 @@ def _half_tables(x: str, n: int, guard: int | None) -> tuple[np.ndarray, np.ndar
     _validate(x, n, guard)
     # contiguous uint8 symbol rows, as the sampled texts are drawn, step
     # about twice as fast as int64 ones at n = 22
-    return _half_counts(x, _half_bits(n // 2), _half_bits(n - n // 2))
+    return _half_counts(x, *map(_half_bits, _halves(n)))
 
 
 def _check_dict(x: str, n: int, guard: int | None) -> None:
     """Check a posterior dict of x over 2^n texts as ``_validate`` does, and
     refuse it with CapacityError, naming the estimate and the bound, when
-    its ``_support_size(n, m)`` rows would pass ``_TABLE_BYTES``."""
+    its ``_support_size(n, m)`` rows would pass ``core.MAX_BYTES``: 1 GiB
+    admits n = 22 and refuses n = 23 for m = 1."""
     rows = _support_size(n, _validate(x, n, guard))
     need = rows * (n + _DICT_ROW_BYTES)
-    if need > _TABLE_BYTES:
+    if need > core.MAX_BYTES:
         raise core.CapacityError(
             f"posterior over 2^{n} texts refused: a dict of {rows} rows "
             f"needs about {need} bytes ({need / 2**30:.1f} GiB) at peak, "
-            f"above the bound of {_TABLE_BYTES} bytes"
+            f"above the bound of {core.MAX_BYTES} bytes"
         )
 
 
@@ -312,8 +307,8 @@ def uncertainty_blocks(
     over the half tables of ``_half_tables``: several whole u-rows when
     2^|v| <= _ROWS, else a ``_ROWS``-wide slice of one u-row.  Its
     zero-weight texts are dropped and the text strings of the rest come
-    from ``bit_strings``.  Memory is O(m * 2^(n/2) + _ROWS), so only the
-    enumeration guard bounds the stream.
+    from ``bit_strings``, |v| being log2 of the width of suf.  Memory is
+    O(m * 2^(n/2) + _ROWS), so only the enumeration guard bounds the stream.
 
     Let a(u) be the longest prefix of x that u holds and b(v) the start of
     the longest suffix of x that v holds.  The tables are prefix- and
@@ -326,7 +321,7 @@ def uncertainty_blocks(
     reach = (pre > 0).sum(axis=1) - 1  # a(u)
     start = len(x) + 1 - (suf > 0).sum(axis=0)  # b(v)
     live = reach >= start.min()
-    k = n - n // 2
+    k = suf.shape[1].bit_length() - 1
     width = min(_ROWS, 1 << k)
     step = max(1, _ROWS >> k)
     for u in range(0, len(pre), step):
@@ -360,7 +355,7 @@ def posterior(
     """Exact posterior weight distribution over the compatible texts.
 
     The dict holds one row per text of ``_support_size(n, m)``, and
-    ``_check_dict`` refuses it when those rows would pass ``_TABLE_BYTES``;
+    ``_check_dict`` refuses it when those rows would pass ``core.MAX_BYTES``;
     ``uncertainty_blocks`` streams the same rows without the dict.
     """
     _check_dict(x, n, guard)

@@ -80,12 +80,25 @@ def renyi2_entropy(x: str, n: int) -> float:
     """Second-order Renyi entropy -log2(sum p^2) in bits.
 
     The collision sum over texts is 2^n * E[W^2], served by the moment DP,
-    so no enumeration guard applies.
+    so no enumeration guard applies; it and the total C(n, m) * 2^(n-m)
+    are logged from an int and a left shift, forming no n-bit int.
     """
     core.validate_pattern(x)
     m = len(x)
-    sum_w2 = int(raw_moments(x, n, 2)[1] * (1 << n))
-    return 2.0 * math.log2(total_masks(n, m)) - math.log2(sum_w2)
+    second = raw_moments(x, n, 2)[1]  # over 2^t, t <= n
+    sum_w2 = _log2_shifted(second.numerator, n + 1 - second.denominator.bit_length())
+    return 2.0 * _log2_shifted(core.binomial(n, m), n - m) - sum_w2
+
+
+def _log2_shifted(a: int, shift: int) -> float:
+    """math.log2(a << shift) for a >= 1, bit for bit: CPython takes
+    log2(float(N)) while N rounded to 53 bits is below 2^1024, else
+    log2(f) + e from N's frexp (f, e), and f is a / 2^len(a) rounded once."""
+    f, e = math.frexp(a / (1 << a.bit_length()))
+    e += a.bit_length() + shift
+    if e <= 1024:
+        return math.log2(math.ldexp(f, e))
+    return math.log2(f) + e
 
 
 def min_entropy(x: str, n: int, *, guard: int | None = None) -> float:

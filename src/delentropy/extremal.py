@@ -117,8 +117,7 @@ def _kappa_plan(m: int, k: int):
     a -= 2 * c * np.eye(m, dtype=np.int64)
     hi, k1 = m - k, k // 2
     h_f, u_f, v_f = slice(0, hi), slice(hi, hi + k1), slice(hi + k1, m)
-    u_bits = embedding._bit_rows(np.arange(1 << k1), k1)
-    v_bits = embedding._bit_rows(np.arange(1 << (k - k1)), k - k1)
+    u_bits, v_bits = embedding._half_bits(k1).T, embedding._half_bits(k - k1).T
     table = m * c + _own(u_bits, a[u_f, u_f])[:, None] + _own(v_bits, a[v_f, v_f])
     table += 2 * (u_bits @ a[u_f, v_f] @ v_bits.T)
     to_u, to_v = 2 * a[h_f, u_f] @ u_bits.T, 2 * a[h_f, v_f] @ v_bits.T
@@ -145,7 +144,8 @@ def kappa_blocks(m: int):
     so the block of one h is table + row_u[h][:, None] + row_v[h]: two
     additions per pattern.  ``_kappa_plan`` forms all that depends on (m, k)
     alone once; the row terms are small matmuls over the bit rows of at most
-    2^k1 high values at a time, so no row array outgrows a block.
+    2^k1 high values at a time, sliced from one ``embedding._half_bits(hi)``
+    per scan (2.2 MB at m = 30), so no row array outgrows a block.
     """
     core.check_lengths(m)
     if m > _KAPPA_M_MAX:
@@ -156,12 +156,12 @@ def kappa_blocks(m: int):
     k = min(m, _KAPPA_BLOCK.bit_length() - 1)
     low, table, to_u, to_v, a_hh = _kappa_plan(m, k)
     hi, step = m - k, len(table)
+    all_bits = embedding._half_bits(hi).T
     for start in range(0, 1 << hi, step):
-        highs = np.arange(start, min(start + step, 1 << hi))
-        h_bits = embedding._bit_rows(highs, hi)
+        h_bits = all_bits[start : start + step]
         rows_u = h_bits @ to_u + _own(h_bits, a_hh)[:, None]
         rows_v = h_bits @ to_v
-        for h, row_u, row_v in zip(highs.tolist(), rows_u, rows_v):
+        for h, (row_u, row_v) in enumerate(zip(rows_u, rows_v), start):
             block = table + row_u[:, None]
             block += row_v
             yield low + (h << k), block.ravel()

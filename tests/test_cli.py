@@ -159,6 +159,10 @@ def test_entropy_modes(capsys):
     code, out, err = run(capsys, "entropy", wide, "1000", "--mode", "renyi2")
     assert code == 0, err
     assert out.startswith(f"pattern,n,R\n{wide},1000,")
+    # n = 10^11 forms no n-bit int, so it is answered, not out of memory
+    code, out, err = run(capsys, "entropy", "01", "100000000000", "--mode", "renyi2")
+    assert code == 0 and err == ""
+    assert out.startswith("pattern,n,R\n01,100000000000,")
 
 
 def test_full_precision_flag(capsys):
@@ -434,12 +438,12 @@ def _half_table_bytes(n, m):
 def test_exact_range_refused_on_table_bytes(tmp_path, capsys, monkeypatch):
     # with the byte bound at the cost of n = 11, a range reaching n = 14 is
     # refused on n = 14, with its per-n message, before any file or entropy
-    from delentropy import embedding
+    from delentropy import core
 
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the byte refusal")
 
-    monkeypatch.setattr(embedding, "_TABLE_BYTES", _half_table_bytes(11, 2))
+    monkeypatch.setattr(core, "MAX_BYTES", _half_table_bytes(11, 2))
     monkeypatch.setattr(cli.distribution, "exact_histogram", no_work)
     monkeypatch.setattr(cli.extremal, "shannon_entropy", no_work)
     monkeypatch.setattr(cli.extremal, "kappa_blocks", no_work)
@@ -457,7 +461,7 @@ def test_exact_range_refused_on_table_bytes(tmp_path, capsys, monkeypatch):
         assert not dest.exists()
     monkeypatch.undo()
     # n = 11 itself is admitted at that bound
-    monkeypatch.setattr(embedding, "_TABLE_BYTES", _half_table_bytes(11, 2))
+    monkeypatch.setattr(core, "MAX_BYTES", _half_table_bytes(11, 2))
     code, _, _ = run(capsys, "hist", "01", "8..11", "--out", str(dest))
     assert code == 0 and len(list(dest.iterdir())) == 4
 

@@ -13,7 +13,7 @@ from delentropy import (
     sample_histogram,
     total_masks,
 )
-from delentropy import distribution
+from delentropy import core, distribution
 from delentropy.core import CapacityError
 
 import oracles
@@ -78,7 +78,7 @@ def test_sample_tally_peak_beside_histogram(monkeypatch):
     assert peak - held <= 46 * len(h.counts) + 2**19
     assert held - base > 64 * len(h.counts)
     # and the peak is within the bytes check_sample_block charges the tally
-    monkeypatch.setattr(distribution, "_BLOCK_BYTES", peak - base - 1)
+    monkeypatch.setattr(core, "MAX_BYTES", peak - base - 1)
     with pytest.raises(CapacityError, match="the tally of 100000 sampled texts"):
         distribution.check_sample_block(96, 8, 10**5)
 
@@ -326,7 +326,7 @@ def test_count_block_memory_within_estimate(monkeypatch, x, n):
     distribution._count_block(x, n, 1, 0, size)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    monkeypatch.setattr(distribution, "_BLOCK_BYTES", peak - 1)
+    monkeypatch.setattr(core, "MAX_BYTES", peak - 1)
     with pytest.raises(CapacityError, match=f"{size} texts of length {n} needs"):
         distribution.check_sample_block(n, len(x), size)
 
@@ -346,7 +346,7 @@ def test_small_blocks_within_charge(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         with monkeypatch.context() as patch:
-            patch.setattr(distribution, "_BLOCK_BYTES", peak - 1)
+            patch.setattr(core, "MAX_BYTES", peak - 1)
             with pytest.raises(CapacityError, match=f"plus {3 * n + (1 << 16)} per block"):
                 distribution.check_sample_block(n, len(x), size)
 
@@ -420,6 +420,52 @@ def test_sample_histogram_block_bytes(monkeypatch):
     # the 10^5-text sampled jobs of the text-enum benchmark stay admitted
     for m, n in ((5, 64), (8, 96), (8, 128), (8, 200)):
         distribution.check_sample_block(n, m, 100_000)
+
+
+def test_one_byte_bound_for_tables_dicts_blocks_and_tallies(monkeypatch):
+    # every byte check reads core.MAX_BYTES when it runs: at 4 MiB the half
+    # tables of n = 34, a posterior dict of 65535 rows, a block of 8192
+    # texts of length 200 and the tally of 10^5 weights at n = 20 are each
+    # refused, naming the one bound; the default bound admits them all
+    from delentropy import embedding
+
+    def checks():
+        yield "half-texts need", lambda: embedding._half_tables("0", 34, 40)
+        yield "a dict of 65535 rows", lambda: embedding.posterior("0", 16)
+        yield "a sample block of 8192", lambda: distribution.check_sample_block(200, 8, 8192)
+        yield "the tally of 100000", lambda: distribution.check_sample_block(20, 8, 10**5)
+
+    monkeypatch.setattr(core, "MAX_BYTES", 1 << 22)
+    for what, check in checks():
+        with pytest.raises(CapacityError, match=f"{what}.*(bound of|the) 4194304"):
+            check()
+    monkeypatch.undo()
+    embedding._validate("0", 34, 40)
+    embedding._check_dict("0", 16, None)
+    assert distribution.check_sample_block(200, 8, 8192) == 8192
+    assert distribution.check_sample_block(20, 8, 10**5) == 10**5
+
+
+def test_sample_groups_are_the_charged_groups(monkeypatch):
+    # sample_histogram reduces, by one np.unique each, exactly the groups
+    # whose size check_sample_block charges and returns
+    block, unique, sizes = distribution._BLOCK, np.unique, []
+
+    def recording_unique(weights, **kwargs):
+        sizes.append(len(weights))
+        return unique(weights, **kwargs)
+
+    for pairs in (1, 2 * block, 3 * block + 5):
+        monkeypatch.setattr(distribution, "_PAIRS", pairs)
+        for sample_size in (77, 2 * block, 7 * block + 5):
+            group = distribution.check_sample_block(20, 4, sample_size)
+            assert group == sample_size or group % block == 0
+            sizes.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(distribution.np, "unique", recording_unique)
+                sample_histogram("0110", 20, sample_size, seed=3)
+            full, rest = divmod(sample_size, group)
+            assert sizes == [group] * full + [rest] * (rest > 0), (pairs, sample_size)
 
 
 def test_sample_histogram_validation():

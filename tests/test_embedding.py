@@ -95,7 +95,7 @@ def test_uncertainty_set_workers_match_serial():
 
 
 def test_posterior_counts_its_dict(monkeypatch):
-    from delentropy import embedding
+    from delentropy import core, embedding
 
     # the support is the same for every pattern of a length
     for n in range(1, 13):
@@ -113,7 +113,7 @@ def test_posterior_counts_its_dict(monkeypatch):
         embedding._check_dict("0", 23, None)
     # a bound below the dict's estimate: the stream is admitted, the dict
     # is refused, naming its estimate and the bound
-    monkeypatch.setattr(embedding, "_TABLE_BYTES", 200_000)
+    monkeypatch.setattr(core, "MAX_BYTES", 200_000)
     assert len(list(uncertainty_set("0", 12))) == 4095
     refusal = r"dict of 4095 rows needs about \d+ bytes .*bound of 200000 bytes"
     with pytest.raises(CapacityError, match=refusal):
@@ -315,6 +315,24 @@ def test_uncertainty_blocks_both_shapes(monkeypatch):
             assert got == _oracle_rows(x, n)
 
 
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_uncertainty_blocks_follow_the_table_split(monkeypatch, shift):
+    # the rows take |v| from the width of the suffix table they are handed,
+    # so half tables split one position off the midpoint give the same rows
+    from delentropy import embedding
+
+    def off_midpoint(x, n, guard):
+        embedding._validate(x, n, guard)
+        h = n // 2 + shift
+        return embedding._half_counts(x, embedding._half_bits(h), embedding._half_bits(n - h))
+
+    monkeypatch.setattr(embedding, "_half_tables", off_midpoint)
+    for rows in (8, embedding._ROWS):
+        monkeypatch.setattr(embedding, "_ROWS", rows)
+        for x, n in (("0110", 12), ("0110", 13), ("1", 9), ("01", 10), ("000", 11)):
+            assert list(uncertainty_set(x, n)) == _oracle_rows(x, n), (x, n, rows)
+
+
 def test_uncertainty_blocks_skip_dead_rows(monkeypatch):
     # constant and near-constant patterns leave few u-rows with any
     # nonzero weight; skipping the rest must not change a row, in either
@@ -362,7 +380,7 @@ def test_half_tables_costed_at_their_peak(monkeypatch):
     # allocation, naming them
     import tracemalloc
 
-    from delentropy import embedding
+    from delentropy import core, embedding
 
     for x, n in (("0110100110", 22), ("01", 24), ("0" * 20, 25), ("1", 25)):
         m, h = len(x), n // 2
@@ -374,9 +392,9 @@ def test_half_tables_costed_at_their_peak(monkeypatch):
         finally:
             tracemalloc.stop()
         assert abs(peak - need) <= peak // 100, (x, n, peak, need)
-        monkeypatch.setattr(embedding, "_TABLE_BYTES", need)
+        monkeypatch.setattr(core, "MAX_BYTES", need)
         embedding._validate(x, n, None)
-        monkeypatch.setattr(embedding, "_TABLE_BYTES", need - 1)
+        monkeypatch.setattr(core, "MAX_BYTES", need - 1)
         with pytest.raises(CapacityError, match=f"about {need} bytes"):
             embedding._half_tables(x, n, None)
         monkeypatch.undo()

@@ -111,6 +111,32 @@ def test_renyi2_has_no_guard():
     assert renyi2_entropy("01", 64) > 0
 
 
+def test_renyi2_matches_the_exact_ints():
+    # the logs are taken without forming 2^n E[W^2] or C(n, m) 2^(n-m), and
+    # equal math.log2 of those ints bit for bit, also where they pass 2^1024
+    from delentropy.moments import raw_moments
+
+    for x in ("0", "01", "0110", "10010110"):
+        for n in range(len(x), 1101):
+            sum_w2 = int(raw_moments(x, n, 2)[1] * (1 << n))
+            want = 2 * math.log2(total_masks(n, len(x))) - math.log2(sum_w2)
+            assert renyi2_entropy(x, n) == want, (x, n)
+
+
+def test_renyi2_at_huge_n_holds_no_big_int():
+    # an n-bit int at n = 10^12 would be 125 GB; the answer needs a few KB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        r = renyi2_entropy("0110", 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 10**12 - 1 < r < 10**12
+    assert peak < 1 << 20
+
+
 def test_min_entropy_values():
     assert min_entropy("0", 2) == pytest.approx(1.0)
     assert min_entropy("011", 3) == 0.0
