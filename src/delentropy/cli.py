@@ -25,7 +25,9 @@ The capacity bounds behind exit 3:
   and one block, and the tally, of a sampled histogram (``hist
   --sample``); a range of n is checked on its largest n before any work;
 * m <= 30 for the kappa2 scans and ``kappa --all``;
-* m <= 16 for ``table``, which ranks all 2^m patterns;
+* m <= 16 for ``table``, which ranks all 2^m patterns, and the findings of
+  its entropy ordering, counted before any is formed, charged against the
+  same 2^30-byte bound;
 * 2^27 cell-steps for an exact moment tensor (``moments``, ``gaussian``,
   ``entropy --mode estimate``); a ``gaussian`` range is costed before any
   work as one tensor pass plus 4 * min(n, 4m) products per n when the full
@@ -198,9 +200,10 @@ def _cmd_entropy(args) -> int:
         rows = [(x, n, entropy.min_entropy(x, n, guard=args.guard))]
     else:  # estimate
         ms = moments.exact_moment_set(x, n)
-        est = entropy.moment_entropy_estimate(ms, embedding.total_masks(n, len(x)))
+        # log2 of the total from C(n, m) and a shift: no n-bit int at huge n
+        est, bound = entropy._moment_estimate(ms, entropy._log2_total(n, len(x)))
         header = ["pattern", "n", "estimate", "bound", "moments"]
-        rows = [(x, n, est.estimate_bits, est.error_bound_bits, ms.provenance)]
+        rows = [(x, n, est, bound, ms.provenance)]
     _write(args, _row_chunks(args, header, [rows]))
     return EXIT_OK
 
@@ -229,7 +232,7 @@ def _cmd_hist(args) -> int:
         footer = {"mode": hist.mode, "n": n, "pattern": x}
         if hist.mode == "sampled":
             footer["seed"] = hist.seed
-        rows = sorted(hist.counts.items())
+        rows = list(hist.counts.items())  # ascending weights, as _tally fills them
         name = f"hist_{x}_n{n:02d}.{ext}" if len(ns) > 1 else None
         _write(args, _row_chunks(args, ["omega", "count"], [rows], footer), name)
     return EXIT_OK
@@ -357,7 +360,7 @@ def build_repro_files() -> dict[str, str]:
         hist = distribution.exact_histogram("01", n)
         files[f"fig1_hist_01_n{n:02d}.csv"] = render(
             ["omega", "count"],
-            sorted(hist.counts.items()),
+            list(hist.counts.items()),
             {"mode": "exact", "n": n, "pattern": "01"},
         )
     # one report per symmetry orbit; its three entropies are orbit-invariant

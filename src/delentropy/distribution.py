@@ -47,6 +47,8 @@ class WeightHistogram:
 
     Exact mode: multiplicities over all 2^n texts (they sum to 2^n).
     Sampled mode: counts over ``sample_size`` texts drawn i.i.d. uniform.
+    In both, ``_tally`` fills ``counts`` in ascending weight order and holds
+    only attained weights, so every count is at least 1.
     """
 
     pattern: str

@@ -67,13 +67,14 @@ def shannon_entropy(x: str, n: int, *, guard: int | None = None) -> float:
 def _shannon_bits(hist: WeightHistogram) -> float:
     # int / int true division rounds the exact ratio once (correctly
     # rounded), so no Fraction and no gcd is needed per class
-    mu = total_masks(hist.text_length, len(hist.pattern))
+    n, m = hist.text_length, len(hist.pattern)
+    mu = total_masks(n, m)
     acc = math.fsum(
         mult * w / mu * math.log2(w)
         for w, mult in hist.counts.items()
         if w > 1
     )
-    return math.log2(mu) - acc
+    return _log2_total(n, m) - acc
 
 
 def renyi2_entropy(x: str, n: int) -> float:
@@ -84,10 +85,16 @@ def renyi2_entropy(x: str, n: int) -> float:
     are logged from an int and a left shift, forming no n-bit int.
     """
     core.validate_pattern(x)
-    m = len(x)
     second = raw_moments(x, n, 2)[1]  # over 2^t, t <= n
     sum_w2 = _log2_shifted(second.numerator, n + 1 - second.denominator.bit_length())
-    return 2.0 * _log2_shifted(core.binomial(n, m), n - m) - sum_w2
+    return 2.0 * _log2_total(n, len(x)) - sum_w2
+
+
+def _log2_total(n: int, m: int) -> float:
+    """log2 of the total weight mu = C(n, m) * 2^(n-m), equal to
+    math.log2(total_masks(n, m)) bit for bit, without forming the n-bit
+    int: the one place the package takes this log."""
+    return _log2_shifted(core.binomial(n, m), n - m)
 
 
 def _log2_shifted(a: int, shift: int) -> float:
@@ -107,26 +114,45 @@ def min_entropy(x: str, n: int, *, guard: int | None = None) -> float:
 
 
 def _min_entropy_bits(hist: WeightHistogram) -> float:
-    mu = total_masks(hist.text_length, len(hist.pattern))
-    w_max = max(w for w in hist.counts if hist.counts[w] > 0)
-    return math.log2(mu) - math.log2(w_max)
+    # every weight in a histogram is attained (its count is at least 1)
+    return _log2_total(hist.text_length, len(hist.pattern)) - math.log2(max(hist.counts))
 
 
 def entropy_report(x: str, n: int, *, guard: int | None = None) -> EntropyReport:
-    """Shannon, Renyi-2 and min-entropy of the exact posterior."""
+    """Shannon, Renyi-2 and min-entropy of the exact posterior, all three
+    from one exact histogram.
+
+    The collision sum is the exact int sum of c * w^2 over its classes, so
+    the Renyi-2 value is ``renyi2_entropy``'s bit for bit (both log the
+    same ints) with no moment DP.
+    """
     hist = exact_histogram(x, n, guard=guard)
+    sum_w2 = sum(c * w * w for w, c in hist.counts.items())
     return EntropyReport(
         pattern=x,
         n=n,
         shannon_bits=_shannon_bits(hist),
-        renyi2_bits=renyi2_entropy(x, n),
+        renyi2_bits=2.0 * _log2_total(n, len(x)) - math.log2(sum_w2),
         min_entropy_bits=_min_entropy_bits(hist),
         mode="exact",
     )
 
 
 def moment_entropy_estimate(moments: MomentSet, normalizer: int) -> EntropyEstimate:
-    """Entropy estimate from the mean and central moments 2..4 of W.
+    """Entropy estimate from the mean and central moments 2..4 of W, for a
+    posterior of total weight ``normalizer``; see ``_moment_estimate``."""
+    estimate, bound = _moment_estimate(moments, math.log2(normalizer))
+    return EntropyEstimate(
+        estimate_bits=estimate,
+        error_bound_bits=bound,
+        moments=moments,
+        normalizer=normalizer,
+    )
+
+
+def _moment_estimate(moments: MomentSet, log2_normalizer: float) -> tuple[float, float]:
+    """(estimate, bound) in bits from the moments of W and log2 of the
+    total weight, which ``_log2_total`` gives without forming it.
 
     Third-order expansion of w ln w around the mean E:
 
@@ -146,11 +172,4 @@ def moment_entropy_estimate(moments: MomentSet, normalizer: int) -> EntropyEstim
     )
     log_mean = math.log(mean.numerator) - math.log(mean.denominator)
     core_per_mean = log_mean + var_ratio / 2.0 - mu3_ratio / 6.0
-    estimate = math.log2(normalizer) - core_per_mean / _LN2
-    bound = (5.0 / 3.0) * mu4_ratio / _LN2
-    return EntropyEstimate(
-        estimate_bits=estimate,
-        error_bound_bits=bound,
-        moments=moments,
-        normalizer=normalizer,
-    )
+    return log2_normalizer - core_per_mean / _LN2, (5.0 / 3.0) * mu4_ratio / _LN2

@@ -41,6 +41,12 @@ _KAPPA_M_MAX = 30
 # against 31 ms); 2^15 blocks are slower at m = 15..16, 2^16 from m = 15.
 _KAPPA_BLOCK = 1 << 13
 
+# Bytes one ordering finding costs while the list of findings is built: its
+# dict and its list slot, 281 B held and at most 281.22 B at the peak per
+# finding at ``table 8 8``, ``9 9`` and ``10 10`` (by tracemalloc); the
+# patterns, kappa2 values and H floats are shared with the rows.
+_FINDING_BYTES = 282
+
 
 class ExtremalInvariantError(Exception):
     """An exhaustive scan contradicted a proved extremal statement."""
@@ -261,7 +267,10 @@ def _ordering_violations(rows) -> list[dict]:
 
     A group is a run of equal kappa2.  A row can head an inversion only if
     its H is not below the suffix minimum of H past its group; the later
-    rows with H_low <= H_high are then its inversions, in row order.
+    rows with H_low <= H_high are then its inversions, in row order.  The
+    findings are counted exactly before any is formed, and more than
+    ``core.MAX_BYTES`` at ``_FINDING_BYTES`` each is a CapacityError: near
+    n = m their number approaches 2^(2m-1).
     """
     xs, ks, hs = zip(*rows)
     h = np.array(hs)
@@ -269,16 +278,29 @@ def _ordering_violations(rows) -> list[dict]:
     ends = np.r_[starts[1:], len(rows)]
     lo = np.minimum.reduceat(h, starts).tolist()
     hi = np.maximum.reduceat(h, starts).tolist()
-    violations = [
-        dict(kind="tie-mismatch", kappa2=ks[s], patterns=list(xs[s:e]), H_spread=b - a)
+    ties = [
+        (s, e, a, b)
         for s, e, a, b in zip(starts.tolist(), ends.tolist(), lo, hi)
         if b > a
     ]
     # later[i]: the first row past row i's group; suffix_min[j]: min H over j..
-    later = np.repeat(ends, ends - starts)
+    later = np.repeat(ends, ends - starts).tolist()
     suffix_min = np.r_[np.minimum.accumulate(h[::-1])[::-1], np.inf]
-    for i in np.flatnonzero(h >= suffix_min[later]).tolist():
-        first = int(later[i])
+    heads = np.flatnonzero(h >= suffix_min[later]).tolist()
+    count = len(ties) + sum(int(np.count_nonzero(h[later[i]:] <= h[i])) for i in heads)
+    need = count * _FINDING_BYTES
+    if need > core.MAX_BYTES:
+        raise core.CapacityError(
+            f"the entropy ordering of {len(rows)} patterns has {count} findings, "
+            f"which need {need} bytes ({_FINDING_BYTES} per finding), over the "
+            f"{core.MAX_BYTES}-byte bound"
+        )
+    violations = [
+        dict(kind="tie-mismatch", kappa2=ks[s], patterns=list(xs[s:e]), H_spread=b - a)
+        for s, e, a, b in ties
+    ]
+    for i in heads:
+        first = later[i]
         for j in (first + np.flatnonzero(h[first:] <= h[i])).tolist():
             violations.append(dict(
                 kind="ordering", pattern_high=xs[i], pattern_low=xs[j],

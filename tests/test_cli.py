@@ -165,6 +165,23 @@ def test_entropy_modes(capsys):
     assert out.startswith("pattern,n,R\n01,100000000000,")
 
 
+def test_estimate_at_huge_n_in_a_bounded_child():
+    # n = 10^11 would need a 12.5 GB total as an int; in a child under a
+    # 3 GiB address-space limit it is answered, not out of memory
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "delentropy.cli", "entropy", "01", "100000000000",
+         "--mode", "estimate"],
+        capture_output=True, text=True, env=_module_env(), preexec_fn=limit, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[1].startswith("01,100000000000,")
+
+
 def test_full_precision_flag(capsys):
     _, short, _ = run(capsys, "entropy", "0", "2")
     _, full, _ = run(capsys, "entropy", "0", "2", "--full-precision")
@@ -411,6 +428,23 @@ def test_capacity_exit(capsys):
         assert bound in err and "Traceback" not in err
 
 
+def test_ordering_findings_charged_before_forming(capsys, monkeypatch):
+    # table 8 8 has 32272 findings; one byte below their charge
+    # ordering_table refuses them before any finding or row is written, and
+    # at the charge they are all reported
+    from delentropy import core, extremal
+
+    charge = 32272 * extremal._FINDING_BYTES
+    monkeypatch.setattr(core, "MAX_BYTES", charge - 1)
+    code, out, err = run(capsys, "table", "8", "8")
+    assert code == 3 and out == "" and err.count("\n") == 1
+    assert err.startswith("capacity error:") and "32272 findings" in err
+    assert f"need {charge} bytes" in err
+    monkeypatch.setattr(core, "MAX_BYTES", charge)
+    code, out, err = run(capsys, "table", "8", "8")
+    assert code == 4 and err.count("finding: ") == 32272
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     # --out below, or as, a regular file: one usage error naming the path,
     # exit 2, and no file created
@@ -635,10 +669,10 @@ def _extremal_table(results):
     return ["criterion", "m", "n", "value", "witnesses"], rows, {}, objs, code
 
 
-def _estimate_table():
-    ms = exact_moment_set("0110", 9)
-    est = moment_entropy_estimate(ms, total_masks(9, 4))
-    rows = [("0110", 9, est.estimate_bits, est.error_bound_bits, ms.provenance)]
+def _estimate_table(x, n):
+    ms = exact_moment_set(x, n)
+    est = moment_entropy_estimate(ms, total_masks(n, len(x)))
+    rows = [(x, n, est.estimate_bits, est.error_bound_bits, ms.provenance)]
     return ["pattern", "n", "estimate", "bound", "moments"], rows, {}
 
 
@@ -683,7 +717,14 @@ _TABLES = {
     ("entropy", "011", "9", "--mode", "min"): lambda: (
         ["pattern", "n", "Hmin"], [("011", 9, min_entropy("011", 9))], {}
     ),
-    ("entropy", "0110", "9", "--mode", "estimate"): _estimate_table,
+    # the CLI logs the total from C(n, m) and a shift, the library logs the
+    # int it is handed: the same floats
+    ("entropy", "0110", "9", "--mode", "estimate"): lambda: _estimate_table("0110", 9),
+    ("entropy", "01101", "40", "--mode", "estimate"): lambda: _estimate_table("01101", 40),
+    ("entropy", "011010", "120", "--mode", "estimate"): lambda: _estimate_table("011010", 120),
+    ("entropy", "0110", "1000000", "--mode", "estimate"): lambda: (
+        _estimate_table("0110", 10**6)
+    ),
     ("hist", "011", "9"): lambda: _hist_table(exact_histogram("011", 9)),
     ("hist", "011", "40", "--sample", "3000", "--seed", "5"): lambda: _hist_table(
         sample_histogram("011", 40, 3000, 5)

@@ -61,6 +61,24 @@ def test_tally_merges_across_chunks(monkeypatch):
         assert got == want and list(got) == list(want) == sorted(want)
 
 
+def _ascending_and_attained(hist):
+    return list(hist.counts) == sorted(hist.counts) and min(hist.counts.values()) >= 1
+
+
+def test_counts_ascend_and_are_attained(monkeypatch):
+    # the order the CLI renders as given, and the floor the entropies rely on
+    for x, n in (("0", 1), ("01", 5), ("0110", 11), ("01010", 14), ("111", 12)):
+        assert _ascending_and_attained(exact_histogram(x, n)), (x, n)
+    # int64 weights, then object weights of exact ints (C(n, m) >= 2^62)
+    assert math.comb(66, 33) >= 2**62
+    assert _ascending_and_attained(sample_histogram("10010110", 200, 20000, seed=1))
+    assert _ascending_and_attained(sample_histogram("01" * 16 + "0", 66, 3000, seed=2))
+    # a sample spread over several groups, each reduced on its own
+    monkeypatch.setattr(distribution, "_PAIRS", 2 * distribution._BLOCK)
+    assert distribution.check_sample_block(96, 8, 5 * 8192 + 77) < 5 * 8192 + 77
+    assert _ascending_and_attained(sample_histogram("11001000", 96, 5 * 8192 + 77, seed=5))
+
+
 def test_sample_tally_peak_beside_histogram(monkeypatch):
     # beside the dict it returns, the sampled tally holds at its peak the
     # merged weight and multiplicity arrays (16 B per distinct weight), the

@@ -154,6 +154,48 @@ def test_entropy_report_ordering():
     assert rep.min_entropy_bits <= rep.renyi2_bits <= rep.shannon_bits
 
 
+def test_report_renyi2_equals_the_moment_dp():
+    # the report sums c * w^2 over its histogram; the moment DP gives the
+    # same collision sum, so the two logs agree bit for bit
+    cases = [
+        (x, n)
+        for m in range(1, 6)
+        for x in ("".join(p) for p in itertools.product("01", repeat=m))
+        for n in range(m, 15)
+    ]
+    cases += [("0110", 20), ("01101", 20), ("0110100110", 20)]
+    cases += [("01", 24), ("00100", 24), ("11111", 24)]
+    for x, n in cases:
+        assert entropy_report(x, n).renyi2_bits == renyi2_entropy(x, n), (x, n)
+
+
+def test_report_and_repro_run_no_moment_dp(tmp_path, capsys, monkeypatch):
+    # an exact report takes all three entropies from its one histogram
+    from delentropy import cli, moments
+
+    want = entropy_report("01101", 15)
+
+    def no_dp(*args, **kwargs):
+        raise AssertionError("an exact report ran the moment DP")
+
+    monkeypatch.setattr(moments, "_newton_coefficients", no_dp)
+    assert entropy_report("01101", 15) == want
+    # repro exits 0 only when all 13 files equal the checked-in references
+    assert cli.main(["repro", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_log2_total_matches_math_log2():
+    # C(n, m) and a shift give math.log2 of the n-bit int bit for bit, also
+    # where the int passes 2^1024
+    for n in range(1, 301):
+        for m in range(1, n + 1):
+            assert entropy._log2_total(n, m) == math.log2(total_masks(n, m)), (n, m)
+    for n in (1000, 1025, 10**4, 123457, 10**5 + 3):
+        for m in (1, 2, 4, 7, 30):
+            assert entropy._log2_total(n, m) == math.log2(total_masks(n, m)), (n, m)
+
+
 # ---------------------------------------------------------------------------
 # moment-based estimator
 # ---------------------------------------------------------------------------
@@ -189,6 +231,23 @@ def test_estimate_gap_shrinks_with_n():
         exact = shannon_entropy("01", n, guard=22)
         gaps.append(abs(est.estimate_bits - exact))
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
+
+
+def test_estimate_at_huge_n_holds_no_big_int():
+    # the private estimate takes log2 of the total, not the n-bit int that
+    # would be 125 GB at n = 10^12
+    import tracemalloc
+
+    n = 10**12
+    ms = exact_moment_set("0110", n)
+    tracemalloc.start()
+    try:
+        est, bound = entropy._moment_estimate(ms, entropy._log2_total(n, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n - 1 < est <= n and 0 <= bound < 1e-6  # within half an ulp of n
+    assert peak < 1 << 20
 
 
 def test_estimate_from_asymptotic_moments():

@@ -13,7 +13,7 @@ from delentropy import (
     search_kappa_min,
     verify_kappa_max,
 )
-from delentropy import cli, extremal
+from delentropy import cli, core, extremal
 from delentropy.core import CapacityError
 from delentropy.extremal import (
     ExtremalInvariantError,
@@ -330,11 +330,23 @@ def test_ordering_violations_match_all_pairs_on_edge_rows():
     assert len(extremal._ordering_violations(equal_across)) == 3
 
 
-def test_ordering_violations_match_all_pairs_on_real_tables():
+def test_ordering_violations_match_all_pairs_on_real_tables(monkeypatch):
+    # the findings are counted exactly before they are formed: at a bound
+    # of exactly their charge the list comes back, one byte below it the
+    # count is named in the refusal
     for m in range(1, 9):
         for n in (m, m + 2, m + 4):
             table = ordering_table(n, m)
             assert table.violations == oracles.brute_ordering_violations(table.rows)
+            charge = len(table.violations) * extremal._FINDING_BYTES
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "MAX_BYTES", charge)
+                assert extremal._ordering_violations(table.rows) == table.violations
+                if table.violations:
+                    patch.setattr(core, "MAX_BYTES", charge - 1)
+                    with pytest.raises(CapacityError,
+                                       match=f" {len(table.violations)} findings"):
+                        extremal._ordering_violations(table.rows)
 
 
 def test_ties_are_decided_exactly(monkeypatch):
