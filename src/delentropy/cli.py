@@ -32,7 +32,16 @@ The capacity bounds behind exit 3:
   ``entropy --mode estimate``); a ``gaussian`` range is costed before any
   work as one tensor pass plus 4 * min(n, 4m) products per n when the full
   pass fits, and as the sum of its per-n passes otherwise;
-* the float range for asymptotic moments.
+* the float range for asymptotic moments;
+* the bytes of an interleaving table longer than 64, which ``kappa`` builds
+  per call, against the same 2^30-byte bound.
+
+Each subcommand imports only the modules it calls, inside its ``_cmd_``
+function, and ``import delentropy`` loads none, so a process pays only for
+what it runs.  ``moments --mode asymptotic``, ``kappa PATTERN`` (with or
+without ``--decomposition``) and the guard, length and byte refusals of
+exact ``hist`` and of ``posterior`` never import numpy: they are exact-int
+closed forms and checks.  Every other subcommand builds arrays and loads it.
 """
 
 from __future__ import annotations
@@ -42,12 +51,10 @@ import itertools
 import json
 import os
 import sys
-from importlib import resources
 from pathlib import Path
 
-from . import core, distribution, embedding, entropy, extremal, moments
-from .core import CapacityError
-from .extremal import ExtremalInvariantError
+from . import core
+from .core import CapacityError, ExtremalInvariantError
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -151,12 +158,16 @@ def _cmd_kappa(args) -> int:
     if args.all is not None:
         if args.decomposition:
             raise ValueError("--decomposition needs a single pattern")
+        from . import embedding, extremal
+
         blocks = (
             list(zip(embedding.bit_strings(vs, args.all), ks.tolist()))
             for vs, ks in extremal.kappa_blocks(args.all)
         )
         _write(args, _row_chunks(args, ["pattern", "kappa2"], blocks))
         return EXIT_OK
+    from . import moments
+
     x = core.validate_pattern(args.pattern)
     if not args.decomposition:
         rows = [(x, moments.kappa_squared(x))]
@@ -177,6 +188,8 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
+    from . import entropy, moments
+
     x = core.validate_pattern(args.pattern)
     n = args.n
     if args.mode == "exact":
@@ -213,14 +226,18 @@ def _cmd_hist(args) -> int:
     ns = _parse_n_range(args.n)
     if (args.sample is None) != (args.seed is None):
         raise ValueError("--sample and --seed go together")
-    if len(ns) > 1:
-        if args.out is None:
-            raise ValueError("an n range needs --out DIR (one file per n)")
-        # refuse the whole range on its largest n before the first file
-        if args.sample is None:
-            embedding.check_enumeration(ns[-1], len(x), args.guard)
-        else:
-            distribution.check_sample_block(ns[-1], len(x), args.sample)
+    if len(ns) > 1 and args.out is None:
+        raise ValueError("an n range needs --out DIR (one file per n)")
+    # exact work is refused before numpy loads: a range on its largest n
+    # before the first file, a single n as exact_histogram checks it
+    if args.sample is None:
+        if len(ns) == 1:
+            core.check_lengths(len(x), ns[0])
+        core.check_enumeration(ns[-1], len(x), args.guard)
+    from . import distribution
+
+    if args.sample is not None and len(ns) > 1:
+        distribution.check_sample_block(ns[-1], len(x), args.sample)
     ext = "csv" if args.format == "csv" else "json"
     for n in ns:
         if args.sample is not None:
@@ -239,6 +256,8 @@ def _cmd_hist(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import extremal
+
     table = extremal.ordering_table(
         args.n, args.m, guard=args.guard, workers=args.workers
     )
@@ -279,6 +298,8 @@ def _extremal_chunks(args, results):
 
 
 def _cmd_extremal(args) -> int:
+    from . import extremal
+
     if args.criterion == "kappa-max":
         results = [extremal.verify_kappa_max(args.m, workers=args.workers)]
     elif args.criterion == "kappa-min":
@@ -295,6 +316,8 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    from . import moments
+
     x = core.validate_pattern(args.pattern)
     n, r = args.n, args.r
     if args.mode == "exact":
@@ -317,6 +340,8 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_gaussian(args) -> int:
+    from . import moments
+
     x = core.validate_pattern(args.pattern)
     ns = _parse_n_range(args.n)
     moments.check_range_cell_steps(len(x), 4, ns)
@@ -331,8 +356,12 @@ def _cmd_posterior(args) -> int:
     """Stream the rows one ``uncertainty_blocks`` block at a time, then the
     normalizer mu as the footer."""
     x = core.validate_pattern(args.pattern)
-    # x and n are checked, and the guard applied, before mu is formed
-    m = embedding._validate(x, args.n, args.guard)
+    # x and n are checked, and the guard applied, before numpy loads and
+    # before mu is formed
+    m = core.check_lengths(len(x), args.n)
+    core.check_enumeration(args.n, m, args.guard)
+    from . import embedding
+
     footer = {"mu": embedding.total_masks(args.n, m)}
     blocks = embedding.uncertainty_blocks(x, args.n, guard=args.guard)
     rows = (list(zip(*b)) for b in blocks)
@@ -350,6 +379,8 @@ _REPRO_STYLE = argparse.Namespace(format="csv", full_precision=False)
 
 def build_repro_files() -> dict[str, str]:
     """The three reference artifacts as {filename: file text}."""
+    from . import distribution, entropy, extremal
+
     def render(header, rows, footer=None):
         return "".join(_row_chunks(_REPRO_STYLE, header, [rows], footer))
 
@@ -373,6 +404,8 @@ def build_repro_files() -> dict[str, str]:
 
 
 def _cmd_repro(args) -> int:
+    from importlib import resources
+
     files = build_repro_files()
     expected_root = resources.files("delentropy").joinpath("repro_expected")
     failures = 0

@@ -16,9 +16,15 @@ import math
 DEFAULT_GUARD = 30
 
 # The one byte bound, read when it runs by every check that costs bytes:
-# ``check_enumeration`` and ``_check_dict`` in embedding, and
-# ``check_sample_block`` in distribution.
+# ``check_enumeration`` here, ``_check_dict`` in embedding,
+# ``check_sample_block`` in distribution, the uncached interleaving table in
+# moments and the ordering findings in extremal.
 MAX_BYTES = 1 << 30
+
+# Exact enumeration keeps weights W <= C(n, m) and text multiplicities
+# <= 2^n in int64; both fit for every m only while n <= 62, so no guard
+# admits a larger n.
+_MAX_EXACT_N = 62
 
 
 class CapacityError(Exception):
@@ -27,6 +33,10 @@ class CapacityError(Exception):
 
 class DegenerateDistributionError(Exception):
     """Distribution has zero variance; normalized diagnostics are undefined."""
+
+
+class ExtremalInvariantError(Exception):
+    """An exhaustive scan contradicted a proved extremal statement."""
 
 
 def validate_pattern(x: str) -> str:
@@ -56,6 +66,46 @@ def check_lengths(m: int, n: int | None = None) -> int:
     if n is not None and n < m:
         raise ValueError(f"text length {n} shorter than pattern length {m}")
     return m
+
+
+def check_enumeration(n: int, m: int, guard: int | None) -> None:
+    """Admit an enumeration of all 2^n texts for a length-m pattern, or
+    refuse it with CapacityError: n > _MAX_EXACT_N, then n above the guard
+    (``DEFAULT_GUARD`` when None), then, naming the bytes, a peak of
+    ``embedding._half_tables`` above ``MAX_BYTES``.
+
+    The peak is the uint8 symbol rows of both halves, both int64 half
+    tables, and the second table's uint32 rung while it widens to int64:
+    within 1% of tracemalloc's peak for m = 1..20 at n = 22..26.  It
+    depends on (n, m) alone and rises with n, so a range of n is refused,
+    before any work, on its largest n: 1 GiB admits n = 46 and refuses
+    n = 47 for m = 1.  The check is plain integer arithmetic, so a command
+    can refuse before it loads any array module.
+    """
+    if n > _MAX_EXACT_N:
+        raise CapacityError(
+            f"exact enumeration over 2^{n} texts refused: n <= {_MAX_EXACT_N} "
+            f"keeps weights and multiplicities within int64, whatever the guard"
+        )
+    limit = DEFAULT_GUARD if guard is None else guard
+    if n > limit:
+        raise CapacityError(
+            f"enumeration over 2^{n} texts exceeds the guard ({limit}); "
+            f"raise the guard explicitly to proceed"
+        )
+    h, k = _halves(n)
+    need = ((h + 8 * (m + 1)) << h) + ((k + 12 * (m + 1)) << k)
+    if need > MAX_BYTES:
+        raise CapacityError(
+            f"enumeration over 2^{n} texts refused: the symbol rows and half "
+            f"tables of its half-texts need about {need} bytes "
+            f"({need / 2**30:.1f} GiB), above the bound of {MAX_BYTES} bytes"
+        )
+
+
+def _halves(n: int) -> tuple[int, int]:
+    """(|u|, |v|) of the one split y = uv of a length-n text: |u| = n // 2."""
+    return n // 2, n - n // 2
 
 
 def binomial(n: int, k: int) -> int:

@@ -4,7 +4,7 @@ The histogram of W (embedding count of a fixed pattern in a uniform random
 text) includes the zero bin: texts that cannot produce the pattern are part
 of the text space even though they carry no posterior mass.
 
-Both histograms split each text at its midpoint (``embedding._halves``),
+Both histograms split each text at its midpoint (``core._halves``),
 and form W(uv) = sum_i c_i(u) * s_i(v) from prefix counts of x in u and
 suffix counts of x in v: the exact one over all half-texts at once, the
 sampled one per drawn text.  Both take c_i and s_i from
@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core
-from .embedding import _half_counts, _half_tables, _halves, _walker
+from .embedding import _half_counts, _half_tables, _walker
 from .moments import MomentSet, central_from_raw
 
 # Sample index s is drawn by PRNG stream s // _BLOCK; stream j is the raw
@@ -144,7 +144,7 @@ def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarra
     """Weights of one PRNG stream's slice of the sample index space.
 
     The texts are the columns of ``_stream_bits``.  Each splits at its
-    midpoint (``_halves``) as y = uv, |u| = h, as in ``exact_histogram``,
+    midpoint (``core._halves``) as y = uv, |u| = h, as in ``exact_histogram``,
     and W(uv) = sum_i c_i(u) * s_i(v) is summed in int64 over the
     ``_half_counts`` of bits[:h] and bits[h:], each half stepped in the
     narrowest type of the uint8 -> uint16 -> uint32 -> int64 ladder that
@@ -165,7 +165,7 @@ def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarra
             [walk(chars[i : i + n].decode("ascii")) for i in range(0, size * n, n)],
             dtype=object,
         )
-    h = _halves(n)[0]
+    h = core._halves(n)[0]
     pre, suf = _half_counts(x, bits[:h], bits[h:])
     # Half rows may pass 2^64 and wrap (C(70, 35) > 2^64 at x = "0" * 135,
     # n = 140), but int64 arithmetic is exact mod 2^64 and W <= C(n, m) <

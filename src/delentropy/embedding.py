@@ -24,11 +24,6 @@ from . import core
 # bounds the character block of bit_strings to (n + 1) * 16 KiB.
 _ROWS = 1 << 14
 
-# Exact enumeration keeps weights W <= C(n, m) and text multiplicities
-# <= 2^n in int64; both fit for every m only while n <= 62, so no guard
-# admits a larger n.
-_MAX_EXACT_N = 62
-
 # Bytes per row of the dict ``posterior`` returns, on top of the n
 # characters of its text key: the str and int objects and the dict slot,
 # plus the weight row and text indices held while it fills.  The peak is
@@ -197,50 +192,11 @@ def bit_strings(values: np.ndarray, width: int) -> list[str]:
 
 def _validate(x: str, n: int, guard: int | None) -> int:
     """Check x and n for an enumeration of all 2^n texts, apply
-    ``check_enumeration``, and return m; nothing is allocated before the
-    checks."""
+    ``core.check_enumeration``, and return m; nothing is allocated before
+    the checks."""
     m = core.check_lengths(len(core.validate_pattern(x)), n)
-    check_enumeration(n, m, guard)
+    core.check_enumeration(n, m, guard)
     return m
-
-
-def check_enumeration(n: int, m: int, guard: int | None) -> None:
-    """Admit an enumeration of all 2^n texts for a length-m pattern, or
-    refuse it with CapacityError: n > _MAX_EXACT_N, then n above the guard
-    (``core.DEFAULT_GUARD`` when None), then, naming the bytes, a peak of
-    ``_half_tables`` above ``core.MAX_BYTES``.
-
-    The peak is the uint8 symbol rows of both halves, both int64 half
-    tables, and the second table's uint32 rung while it widens to int64:
-    within 1% of tracemalloc's peak for m = 1..20 at n = 22..26.  It
-    depends on (n, m) alone and rises with n, so a range of n is refused,
-    before any work, on its largest n: 1 GiB admits n = 46 and refuses
-    n = 47 for m = 1.
-    """
-    if n > _MAX_EXACT_N:
-        raise core.CapacityError(
-            f"exact enumeration over 2^{n} texts refused: n <= {_MAX_EXACT_N} "
-            f"keeps weights and multiplicities within int64, whatever the guard"
-        )
-    limit = core.DEFAULT_GUARD if guard is None else guard
-    if n > limit:
-        raise core.CapacityError(
-            f"enumeration over 2^{n} texts exceeds the guard ({limit}); "
-            f"raise the guard explicitly to proceed"
-        )
-    h, k = _halves(n)
-    need = ((h + 8 * (m + 1)) << h) + ((k + 12 * (m + 1)) << k)
-    if need > core.MAX_BYTES:
-        raise core.CapacityError(
-            f"enumeration over 2^{n} texts refused: the symbol rows and half "
-            f"tables of its half-texts need about {need} bytes "
-            f"({need / 2**30:.1f} GiB), above the bound of {core.MAX_BYTES} bytes"
-        )
-
-
-def _halves(n: int) -> tuple[int, int]:
-    """(|u|, |v|) of the one split y = uv of a length-n text: |u| = n // 2."""
-    return n // 2, n - n // 2
 
 
 def _half_bits(k: int) -> np.ndarray:
@@ -260,8 +216,8 @@ def _half_bits(k: int) -> np.ndarray:
 
 def _half_tables(x: str, n: int, guard: int | None) -> tuple[np.ndarray, np.ndarray]:
     """(pre, suf): the ``_half_counts`` of x over all 2^|u| halves u and
-    all 2^|v| halves v of y = uv split by ``_halves``, column u of pre and
-    column v of suf being the texts of binary value u and v.
+    all 2^|v| halves v of y = uv split by ``core._halves``, column u of pre
+    and column v of suf being the texts of binary value u and v.
 
     An embedding puts some prefix x[:i] in u and the rest in v, so
     W(uv) = pre[:, u] @ suf[:, v]; the exact histogram and the posterior
@@ -273,7 +229,7 @@ def _half_tables(x: str, n: int, guard: int | None) -> tuple[np.ndarray, np.ndar
     _validate(x, n, guard)
     # contiguous uint8 symbol rows, as the sampled texts are drawn, step
     # about twice as fast as int64 ones at n = 22
-    return _half_counts(x, *map(_half_bits, _halves(n)))
+    return _half_counts(x, *map(_half_bits, core._halves(n)))
 
 
 def _check_dict(x: str, n: int, guard: int | None) -> None:

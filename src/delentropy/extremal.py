@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import core, embedding
+from .core import ExtremalInvariantError
 from .entropy import shannon_entropy
 from .moments import _interleaving_table, kappa_max
 
@@ -46,10 +47,6 @@ _KAPPA_BLOCK = 1 << 13
 # finding at ``table 8 8``, ``9 9`` and ``10 10`` (by tracemalloc); the
 # patterns, kappa2 values and H floats are shared with the rows.
 _FINDING_BYTES = 282
-
-
-class ExtremalInvariantError(Exception):
-    """An exhaustive scan contradicted a proved extremal statement."""
 
 
 @dataclass
@@ -252,7 +249,7 @@ def ordering_table(
     if m > 16:
         raise core.CapacityError(f"ordering table over 2^{m} patterns refused: m <= 16")
     core.check_lengths(m, n)
-    embedding.check_enumeration(n, m, guard)
+    core.check_enumeration(n, m, guard)
     kappas = [k for _, block in kappa_blocks(m) for k in block.tolist()]
     rows = sorted(
         ((x, kappa, h) for (x, h), kappa in zip(_entropy_rows(n, m, guard), kappas)),
@@ -330,7 +327,7 @@ def check_entropy_min(
         ends = [n_values[0], n_values[-1]] if n_values else []
     else:
         ends = n_values = list(n_values)
-    embedding.check_enumeration(max(ends, default=0), m, guard)
+    core.check_enumeration(max(ends, default=0), m, guard)
     core.check_lengths(m, min(ends, default=None))
     results = []
     for n in n_values:

@@ -26,14 +26,12 @@ import itertools
 import math
 import operator
 import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import core
 from .core import DegenerateDistributionError, binomial
-from .embedding import _pattern_bits
 
 # Sorted tensor cells times DP steps raw_moments accepts: ~0.3 us each
 # (measured at m = 32..45, r = 4), ~40 s.
@@ -138,7 +136,13 @@ def _newton_coefficients(x: str, r: int, steps: int) -> tuple[tuple[int, ...], .
     object vector, and one step is one gather and one ``np.add.reduceat``
     along the plan of ``_step_plan``.  t_jk sits at the sorted tuple
     (0, .., 0, m, .., m) with j entries m, whose code is (m+1)^j - 1.
+    numpy is imported here and in ``_step_plan`` only, so the closed forms
+    and kappa2 run without it.
     """
+    import numpy as np
+
+    from .embedding import _pattern_bits
+
     m = len(x)
     codes, dst, src, starts = _step_plan(_pattern_bits(x), r)
     corners = np.searchsorted(codes, (m + 1) ** np.arange(1, r + 1) - 1)
@@ -190,7 +194,7 @@ def check_range_cell_steps(m: int, rmax: int, ns: range) -> None:
         )
 
 
-def _step_plan(xb: np.ndarray, r: int):
+def _step_plan(xb, r: int):
     """The step (U T)[i] = sum_b sum_S T[sort(i - e_S)] on sorted r-tuples.
 
     S runs over the nonempty sets of axes whose index may step back under
@@ -200,6 +204,8 @@ def _step_plan(xb: np.ndarray, r: int):
     cells that receive a term, and the source cells of their terms grouped
     by destination, group g starting at starts[g].
     """
+    import numpy as np
+
     m = len(xb)
     cells = np.arange(m + 1)[:, None]
     for _ in range(r - 1):  # append every value >= the current last index
@@ -267,8 +273,8 @@ def exact_moment_set(x: str, n: int) -> MomentSet:
 
 # Interleaving tables are cached for lengths m <= _TABLE_CACHE only, one per
 # length.  A table holds m^2 exact ints: under 0.3 MiB at m = 64, so the
-# cache stays under about 20 MiB; a longer table (35 MiB at m = 500,
-# tracemalloc) is built per call and dropped afterwards.
+# cache stays under about 20 MiB; a longer table is costed by
+# ``_table_bytes``, built per call and dropped afterwards.
 _TABLE_CACHE = 64
 
 
@@ -309,10 +315,34 @@ def _packed_rows(m: int):
     return rows, struct.Struct(f"<{m}Q").unpack
 
 
+def _table_bytes(m: int) -> int:
+    """Bytes the build of the length-m interleaving table may peak at.
+
+    Every entry of the table and of the Pascal square behind it is at most
+    C(2m-1, m), so each of the m^2 entries is charged two ints of that
+    binomial's ``sys.getsizeof`` plus a tuple slot and a list slot.
+    tracemalloc put the build's peak at 0.92 of this charge at m = 65,
+    falling to 0.70 at m = 800 (58 MiB at m = 500, 1252 MiB at m = 1500).
+    """
+    return m * m * (2 * sys.getsizeof(binomial(2 * m - 1, m)) + 16)
+
+
 def _interleavings(m: int) -> tuple[tuple[int, ...], ...]:
-    """``_interleaving_table(m)``, from the cache only for m <= _TABLE_CACHE."""
+    """``_interleaving_table(m)``, from the cache only for m <= _TABLE_CACHE.
+
+    A longer table is refused with CapacityError, naming the bytes, when
+    ``_table_bytes(m)`` passes ``core.MAX_BYTES``: 1 GiB admits m = 1200
+    and refuses m = 1300.
+    """
     if m <= _TABLE_CACHE:
         return _interleaving_table(m)
+    need = _table_bytes(m)
+    if need > core.MAX_BYTES:
+        raise core.CapacityError(
+            f"the interleaving table of length {m} needs about {need} bytes "
+            f"({need / 2**30:.1f} GiB) while it is built, above the bound of "
+            f"{core.MAX_BYTES} bytes"
+        )
     return _interleaving_table.__wrapped__(m)
 
 
@@ -348,9 +378,10 @@ def kappa_squared(x: str) -> int:
     m = len(x)
     rare = "1" if x.count("1") <= m // 2 else "0"
     pos = [i for i, c in enumerate(x) if c == rare]
-    if len(pos) < 2:  # itemgetter of one index returns the item, not a tuple
-        mat = _interleavings(m)
-        cross = sum(mat[r][r] for r in pos)
+    if len(pos) < 2:  # at most one diagonal entry M[r][r]: no table needed
+        cross = sum(
+            binomial(2 * r, r) * binomial(2 * (m - r - 1), m - r - 1) for r in pos
+        )
     elif m <= _PACKED_M:
         rows, unpack = _packed_rows(m)
         pick = operator.itemgetter(*pos)

@@ -15,10 +15,12 @@ from delentropy import (
     asymptotic_variance,
     check_entropy_min,
     cli,
+    distribution,
     entropy_report,
     exact_histogram,
     exact_moment,
     exact_moment_set,
+    extremal,
     gaussian_diagnostics,
     kappa_decomposition,
     kappa_max,
@@ -217,8 +219,8 @@ def test_range_refused_before_work(tmp_path, capsys, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the guard refusal")
 
-    monkeypatch.setattr(cli.distribution, "exact_histogram", no_work)
-    monkeypatch.setattr(cli.extremal, "shannon_entropy", no_work)
+    monkeypatch.setattr(distribution, "exact_histogram", no_work)
+    monkeypatch.setattr(extremal, "shannon_entropy", no_work)
     dest = tmp_path / "d"
     code, _, err = run(capsys, "hist", "01", "5..8", "--guard", "6", "--out", str(dest))
     assert code == 3 and err.startswith("capacity error:") and "(6)" in err
@@ -306,7 +308,7 @@ def test_extremal_finding_exit_code(capsys, monkeypatch):
         criterion="kappa-min", m=4, value=99, witnesses=["0011"],
         expected=["0101", "1010"],
     )
-    monkeypatch.setattr(cli.extremal, "search_kappa_min", lambda m, workers: fake)
+    monkeypatch.setattr(extremal, "search_kappa_min", lambda m, workers: fake)
     code, _, err = run(capsys, "extremal", "--criterion", "kappa-min", "4")
     assert code == 4
     assert "finding" in err
@@ -314,7 +316,7 @@ def test_extremal_finding_exit_code(capsys, monkeypatch):
 
 def test_internal_error_exit(capsys, monkeypatch):
     # a contradicted proved statement exits 1 with a message, not a traceback
-    monkeypatch.setattr(cli.extremal, "kappa_max", lambda m: -1)
+    monkeypatch.setattr(extremal, "kappa_max", lambda m: -1)
     code, out, err = run(capsys, "extremal", "--criterion", "kappa-max", "3")
     assert (code, out) == (1, "")
     assert err.startswith("internal error: autocorrelation maximum scan at m=3")
@@ -478,9 +480,9 @@ def test_exact_range_refused_on_table_bytes(tmp_path, capsys, monkeypatch):
         raise AssertionError("work started before the byte refusal")
 
     monkeypatch.setattr(core, "MAX_BYTES", _half_table_bytes(11, 2))
-    monkeypatch.setattr(cli.distribution, "exact_histogram", no_work)
-    monkeypatch.setattr(cli.extremal, "shannon_entropy", no_work)
-    monkeypatch.setattr(cli.extremal, "kappa_blocks", no_work)
+    monkeypatch.setattr(distribution, "exact_histogram", no_work)
+    monkeypatch.setattr(extremal, "shannon_entropy", no_work)
+    monkeypatch.setattr(extremal, "kappa_blocks", no_work)
     need = f"about {_half_table_bytes(14, 2)} bytes"
     dest = tmp_path / "d"
     for argv in (

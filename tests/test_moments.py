@@ -365,6 +365,49 @@ def test_kappa_cache_keeps_short_tables_only():
     assert _interleaving_table.cache_info().currsize == size
 
 
+def test_uncached_table_costed_before_it_is_built(monkeypatch):
+    # past the cache, the table is refused on its bytes before any entry
+    # is formed; at exactly its charge it is built as before
+    from delentropy import cli, core
+
+    m = moments._TABLE_CACHE + 1
+    x = "0110" * 16 + "1"
+    want = (kappa_squared(x), kappa_decomposition(x), interleaving_matrix(m))
+    need = moments._table_bytes(m)
+
+    def no_build(m):
+        raise AssertionError("table built before its cost was checked")
+
+    monkeypatch.setattr(core, "MAX_BYTES", need - 1)
+    build = moments._interleaving_table.__wrapped__
+    monkeypatch.setattr(moments._interleaving_table, "__wrapped__", no_build)
+    for call in (lambda: kappa_squared(x), lambda: kappa_decomposition(x),
+                 lambda: interleaving_matrix(m)):
+        with pytest.raises(CapacityError, match=f"about {need} bytes"):
+            call()
+    assert cli.main(["kappa", x]) == 3
+    # no rare symbol, or one, reads the diagonal without any table
+    assert kappa_squared("0" * m) == kappa_max(m)
+    one = "0" * 9 + "1" + "0" * (m - 10)
+    assert kappa_squared(one) == _masked_sum(one, oracles.pascal_triangle(2 * m))
+    monkeypatch.setattr(moments._interleaving_table, "__wrapped__", build)
+    monkeypatch.setattr(core, "MAX_BYTES", need)
+    assert (kappa_squared(x), kappa_decomposition(x), interleaving_matrix(m)) == want
+
+
+@pytest.mark.parametrize("m", [65, 200])
+def test_table_bytes_bound_the_build(m):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        moments._interleaving_table.__wrapped__(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= moments._table_bytes(m)
+
+
 def test_kappa_rejects_empty():
     with pytest.raises(ValueError):
         kappa_squared("")
