@@ -22,19 +22,21 @@ The capacity bounds behind exit 3:
   ``table``, ``posterior``, ``entropy``, ``extremal --criterion
   entropy-min``); the dict the library's ``posterior()`` returns (the
   ``posterior`` subcommand streams its rows, so only the guard bounds it);
-  and one block, and the tally, of a sampled histogram (``hist
-  --sample``); a range of n is checked on its largest n before any work;
+  one block, and the tally, of a sampled histogram (``hist --sample``);
+  the findings of the ``table`` entropy ordering, counted before any is
+  formed; and an interleaving table longer than 64, which ``kappa`` builds
+  per call; a range of n is checked on its largest n before any work;
 * m <= 30 for the kappa2 scans and ``kappa --all``;
-* m <= 16 for ``table``, which ranks all 2^m patterns, and the findings of
-  its entropy ordering, counted before any is formed, charged against the
-  same 2^30-byte bound;
+* m <= 16 for ``table``, which ranks all 2^m patterns;
 * 2^27 cell-steps for an exact moment tensor (``moments``, ``gaussian``,
   ``entropy --mode estimate``); a ``gaussian`` range is costed before any
   work as one tensor pass plus 4 * min(n, 4m) products per n when the full
   pass fits, and as the sum of its per-n passes otherwise;
-* the float range for asymptotic moments;
-* the bytes of an interleaving table longer than 64, which ``kappa`` builds
-  per call, against the same 2^30-byte bound.
+* the float range for asymptotic moments.
+
+``core.charge`` applies the byte and cell-step bounds, in one shape:
+``<what> needs about <N> <unit>[ (<breakdown>)], above the bound of <B>
+<unit>``.
 
 Each subcommand imports only the modules it calls, inside its ``_cmd_``
 function, and ``import delentropy`` loads none, so a process pays only for
@@ -173,18 +175,27 @@ def _cmd_kappa(args) -> int:
         rows = [(x, moments.kappa_squared(x))]
         _write(args, _row_chunks(args, ["pattern", "kappa2"], [rows]))
         return EXIT_OK
-    dec = moments.kappa_decomposition(x)
-    mats = {"B": dec.symbol_mask, "M": dec.interleavings, "R": dec.masked}
-    if args.format == "json":
-        obj = {"pattern": x, "m": dec.m, "kappa2": dec.kappa_squared, **mats}
-        _write(args, [json.dumps(obj) + "\n"])
-    else:
-        chunks = [
-            f"# {name}\n" + "".join(",".join(map(str, row)) + "\n" for row in mat)
-            for name, mat in mats.items()
-        ]
-        _write(args, chunks + [f"# kappa2={dec.kappa_squared}\n"])
+    _write(args, _decomposition_chunks(args, x, moments.kappa_decomposition(x)))
     return EXIT_OK
+
+
+def _decomposition_chunks(args, x, dec):
+    """One chunk per matrix row: in JSON the bytes of one ``json.dumps`` of
+    the pattern, m, kappa2 and the B, M, R matrices; in CSV each matrix under
+    a ``# name`` line, then ``# kappa2=``.  No whole matrix is rendered."""
+    mats = {"B": dec.symbol_mask, "M": dec.interleavings, "R": dec.masked}
+    if args.format == "csv":
+        for name, mat in mats.items():
+            yield f"# {name}\n"
+            yield from (",".join(map(str, row)) + "\n" for row in mat)
+        yield f"# kappa2={dec.kappa_squared}\n"
+        return
+    yield json.dumps({"pattern": x, "m": dec.m, "kappa2": dec.kappa_squared})[:-1]
+    for name, (first, *rest) in mats.items():
+        yield f', "{name}": [{json.dumps(first)}'
+        yield from (", " + json.dumps(row) for row in rest)
+        yield "]"
+    yield "}\n"
 
 
 def _cmd_entropy(args) -> int:

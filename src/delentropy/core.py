@@ -15,10 +15,7 @@ import math
 # raises the guard explicitly.
 DEFAULT_GUARD = 30
 
-# The one byte bound, read when it runs by every check that costs bytes:
-# ``check_enumeration`` here, ``_check_dict`` in embedding,
-# ``check_sample_block`` in distribution, the uncached interleaving table in
-# moments and the ordering findings in extremal.
+# The one byte bound, read only by ``charge``, when it runs.
 MAX_BYTES = 1 << 30
 
 # Exact enumeration keeps weights W <= C(n, m) and text multiplicities
@@ -37,6 +34,21 @@ class DegenerateDistributionError(Exception):
 
 class ExtremalInvariantError(Exception):
     """An exhaustive scan contradicted a proved extremal statement."""
+
+
+def charge(what: str, need: int, detail: str = "", *, bound: int | None = None,
+           unit: str = "bytes") -> None:
+    """Refuse ``what`` with CapacityError when its estimated cost ``need``
+    passes ``bound`` (``MAX_BYTES``, read now, when None), in one shape:
+    "<what> needs about <need> <unit>[ (<detail>)], above the bound of
+    <bound> <unit>".  Every byte and cell-step refusal is one call here.
+    """
+    limit = MAX_BYTES if bound is None else bound
+    if need > limit:
+        detail = f" ({detail})" if detail else ""
+        raise CapacityError(
+            f"{what} needs about {need} {unit}{detail}, above the bound of {limit} {unit}"
+        )
 
 
 def validate_pattern(x: str) -> str:
@@ -71,8 +83,8 @@ def check_lengths(m: int, n: int | None = None) -> int:
 def check_enumeration(n: int, m: int, guard: int | None) -> None:
     """Admit an enumeration of all 2^n texts for a length-m pattern, or
     refuse it with CapacityError: n > _MAX_EXACT_N, then n above the guard
-    (``DEFAULT_GUARD`` when None), then, naming the bytes, a peak of
-    ``embedding._half_tables`` above ``MAX_BYTES``.
+    (``DEFAULT_GUARD`` when None), then a peak of ``embedding._half_tables``
+    that ``charge`` refuses.
 
     The peak is the uint8 symbol rows of both halves, both int64 half
     tables, and the second table's uint32 rung while it widens to int64:
@@ -94,13 +106,11 @@ def check_enumeration(n: int, m: int, guard: int | None) -> None:
             f"raise the guard explicitly to proceed"
         )
     h, k = _halves(n)
-    need = ((h + 8 * (m + 1)) << h) + ((k + 12 * (m + 1)) << k)
-    if need > MAX_BYTES:
-        raise CapacityError(
-            f"enumeration over 2^{n} texts refused: the symbol rows and half "
-            f"tables of its half-texts need about {need} bytes "
-            f"({need / 2**30:.1f} GiB), above the bound of {MAX_BYTES} bytes"
-        )
+    charge(
+        f"enumeration over 2^{n} texts refused: holding the symbol rows and "
+        f"half tables of its half-texts",
+        ((h + 8 * (m + 1)) << h) + ((k + 12 * (m + 1)) << k),
+    )
 
 
 def _halves(n: int) -> tuple[int, int]:

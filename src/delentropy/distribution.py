@@ -198,7 +198,7 @@ def check_sample_block(n: int, m: int, sample_size: int) -> int:
     once: max(1, _PAIRS // _BLOCK) whole blocks, or the whole sample if
     smaller.  A CapacityError instead if one block of length-n texts, for
     a length-m pattern, or the tally of the whole sample (charged on its
-    own) would need more than ``core.MAX_BYTES``.
+    own) passes the byte bound of ``core.charge``.
 
     A block holds its texts' bits twice while they are drawn (raw stream
     bytes and the (n, size) uint8 layout), then the bits, the int64 prefix
@@ -223,26 +223,20 @@ def check_sample_block(n: int, m: int, sample_size: int) -> int:
     block = min(_BLOCK, sample_size)
     per_text = 2 * n + 25 * (m + 1)
     per_block = 3 * n + (1 << 16)
-    need = block * per_text + per_block
-    if need > core.MAX_BYTES:
-        raise core.CapacityError(
-            f"a sample block of {block} texts of length {n} needs {need} bytes "
-            f"({per_text} per text for a length-{m} pattern, plus {per_block} "
-            f"per block), over the {core.MAX_BYTES}-byte bound"
-        )
+    core.charge(f"a sample block of {block} texts of length {n}",
+                block * per_text + per_block,
+                f"{per_text} per text for a length-{m} pattern, plus {per_block} per block")
     top = core.binomial(n, m)
     distinct = min(sample_size, top + 1)
     group = min(sample_size, max(1, _PAIRS // _BLOCK) * _BLOCK)
     b = sys.getsizeof(top)
     per_weight, per_pending = 107 + b, 41 + b
-    need = distinct * per_weight + group * per_pending
-    if need > core.MAX_BYTES:
-        raise core.CapacityError(
-            f"the tally of {sample_size} sampled texts of length {n} needs "
-            f"{need} bytes ({per_weight} per distinct weight, up to {distinct} "
-            f"for a length-{m} pattern, plus {per_pending} per weight of a "
-            f"{group}-weight group), over the {core.MAX_BYTES}-byte bound"
-        )
+    core.charge(
+        f"the tally of {sample_size} sampled texts of length {n}",
+        distinct * per_weight + group * per_pending,
+        f"{per_weight} per distinct weight, up to {distinct} for a length-{m} "
+        f"pattern, plus {per_pending} per weight of a {group}-weight group",
+    )
     return group
 
 
@@ -263,8 +257,8 @@ def sample_histogram(
     by ``_tally``, so no more than ``_PAIRS`` per-sample weights are held at
     a time and memory stays O(distinct weights + ``_PAIRS``).  ``workers``
     is accepted for compatibility and ignored.  There is no enumeration
-    guard, so this extends histograms past it; a block or a tally over
-    ``core.MAX_BYTES`` is refused before any draw.
+    guard, so this extends histograms past it; a block or a tally over the
+    byte bound of ``core.charge`` is refused before any draw.
     """
     m = core.check_lengths(len(core.validate_pattern(x)), n)
     if sample_size < 1:

@@ -234,17 +234,12 @@ def _half_tables(x: str, n: int, guard: int | None) -> tuple[np.ndarray, np.ndar
 
 def _check_dict(x: str, n: int, guard: int | None) -> None:
     """Check a posterior dict of x over 2^n texts as ``_validate`` does, and
-    refuse it with CapacityError, naming the estimate and the bound, when
-    its ``_support_size(n, m)`` rows would pass ``core.MAX_BYTES``: 1 GiB
-    admits n = 22 and refuses n = 23 for m = 1."""
+    charge its ``_support_size(n, m)`` rows at their peak (``core.charge``):
+    1 GiB admits n = 22 and refuses n = 23 for m = 1."""
     rows = _support_size(n, _validate(x, n, guard))
-    need = rows * (n + _DICT_ROW_BYTES)
-    if need > core.MAX_BYTES:
-        raise core.CapacityError(
-            f"posterior over 2^{n} texts refused: a dict of {rows} rows "
-            f"needs about {need} bytes ({need / 2**30:.1f} GiB) at peak, "
-            f"above the bound of {core.MAX_BYTES} bytes"
-        )
+    per_row = n + _DICT_ROW_BYTES
+    core.charge(f"posterior over 2^{n} texts refused: a dict of {rows} rows",
+                rows * per_row, f"{per_row} per row at peak")
 
 
 def _support_size(n: int, m: int) -> int:
@@ -311,7 +306,7 @@ def posterior(
     """Exact posterior weight distribution over the compatible texts.
 
     The dict holds one row per text of ``_support_size(n, m)``, and
-    ``_check_dict`` refuses it when those rows would pass ``core.MAX_BYTES``;
+    ``_check_dict`` charges those rows against the byte bound first;
     ``uncertainty_blocks`` streams the same rows without the dict.
     """
     _check_dict(x, n, guard)

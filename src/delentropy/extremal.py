@@ -22,7 +22,6 @@ import numpy as np
 
 from . import core, embedding
 from .core import ExtremalInvariantError
-from .entropy import shannon_entropy
 from .moments import _interleaving_table, kappa_max
 
 # The scan's int64 values stay within +-3 * kappa_max(m).  M >= 0 entrywise,
@@ -232,6 +231,8 @@ def _entropy_rows(n: int, m: int, guard: int | None) -> list[tuple[str, float]]:
     """(x, Shannon bits) for all 2^m patterns in lexicographic order, one
     exact histogram per symmetry orbit: complement and reversal leave the
     histogram, and so the bits, unchanged."""
+    from .entropy import shannon_entropy
+
     return core.per_orbit(m, lambda x: shannon_entropy(x, n, guard=guard))
 
 
@@ -265,9 +266,9 @@ def _ordering_violations(rows) -> list[dict]:
     A group is a run of equal kappa2.  A row can head an inversion only if
     its H is not below the suffix minimum of H past its group; the later
     rows with H_low <= H_high are then its inversions, in row order.  The
-    findings are counted exactly before any is formed, and more than
-    ``core.MAX_BYTES`` at ``_FINDING_BYTES`` each is a CapacityError: near
-    n = m their number approaches 2^(2m-1).
+    findings are counted exactly and charged ``_FINDING_BYTES`` each
+    (``core.charge``) before any is formed: near n = m their number
+    approaches 2^(2m-1).
     """
     xs, ks, hs = zip(*rows)
     h = np.array(hs)
@@ -285,13 +286,8 @@ def _ordering_violations(rows) -> list[dict]:
     suffix_min = np.r_[np.minimum.accumulate(h[::-1])[::-1], np.inf]
     heads = np.flatnonzero(h >= suffix_min[later]).tolist()
     count = len(ties) + sum(int(np.count_nonzero(h[later[i]:] <= h[i])) for i in heads)
-    need = count * _FINDING_BYTES
-    if need > core.MAX_BYTES:
-        raise core.CapacityError(
-            f"the entropy ordering of {len(rows)} patterns has {count} findings, "
-            f"which need {need} bytes ({_FINDING_BYTES} per finding), over the "
-            f"{core.MAX_BYTES}-byte bound"
-        )
+    core.charge(f"listing the {count} findings of the entropy ordering of {len(rows)} patterns",
+                count * _FINDING_BYTES, f"{_FINDING_BYTES} per finding")
     violations = [
         dict(kind="tie-mismatch", kappa2=ks[s], patterns=list(xs[s:e]), H_spread=b - a)
         for s, e, a, b in ties

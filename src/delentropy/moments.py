@@ -161,11 +161,9 @@ def check_cell_steps(m: int, rmax: int, steps: int) -> None:
     """A CapacityError if ``steps`` steps over the C(m+rmax, rmax) cells of
     the order-rmax tensor of a length-m pattern pass 2^27."""
     cells = binomial(m + rmax, rmax)
-    if steps * cells > _MOMENT_CELL_STEPS:
-        raise core.CapacityError(
-            f"order-{rmax} moment tensor needs {steps} steps over {cells} cells "
-            f"= {steps * cells} cell-steps, above the bound {_MOMENT_CELL_STEPS}"
-        )
+    core.charge(f"order-{rmax} moment tensor", steps * cells,
+                f"{steps} steps over {cells} cells",
+                bound=_MOMENT_CELL_STEPS, unit="cell-steps")
 
 
 def check_range_cell_steps(m: int, rmax: int, ns: range) -> None:
@@ -184,14 +182,11 @@ def check_range_cell_steps(m: int, rmax: int, ns: range) -> None:
         t = max(lo - 1, min(hi, full))  # n = lo..t take n steps, the rest r*m each
         check_cell_steps(m, rmax, (lo + t) * (t - lo + 1) // 2 + (hi - t) * full)
         return
-    evals = len(ns) * rmax * min(hi, full)
-    if full * cells + evals > _MOMENT_CELL_STEPS:
-        raise core.CapacityError(
-            f"order-{rmax} moments at n = {lo}..{hi} need {full} steps over "
-            f"{cells} cells plus {len(ns)} evaluations of {rmax * min(hi, full)} "
-            f"products = {full * cells + evals} cell-steps, above the bound "
-            f"{_MOMENT_CELL_STEPS}"
-        )
+    products = rmax * min(hi, full)
+    core.charge(f"computing order-{rmax} moments at n = {lo}..{hi}",
+                full * cells + len(ns) * products,
+                f"{full} steps over {cells} cells plus {len(ns)} evaluations of "
+                f"{products} products", bound=_MOMENT_CELL_STEPS, unit="cell-steps")
 
 
 def _step_plan(xb, r: int):
@@ -330,19 +325,12 @@ def _table_bytes(m: int) -> int:
 def _interleavings(m: int) -> tuple[tuple[int, ...], ...]:
     """``_interleaving_table(m)``, from the cache only for m <= _TABLE_CACHE.
 
-    A longer table is refused with CapacityError, naming the bytes, when
-    ``_table_bytes(m)`` passes ``core.MAX_BYTES``: 1 GiB admits m = 1200
-    and refuses m = 1300.
+    A longer table is charged ``_table_bytes(m)`` (``core.charge``) first:
+    1 GiB admits m = 1200 and refuses m = 1300.
     """
     if m <= _TABLE_CACHE:
         return _interleaving_table(m)
-    need = _table_bytes(m)
-    if need > core.MAX_BYTES:
-        raise core.CapacityError(
-            f"the interleaving table of length {m} needs about {need} bytes "
-            f"({need / 2**30:.1f} GiB) while it is built, above the bound of "
-            f"{core.MAX_BYTES} bytes"
-        )
+    core.charge(f"building the interleaving table of length {m}", _table_bytes(m))
     return _interleaving_table.__wrapped__(m)
 
 

@@ -16,6 +16,7 @@ from delentropy import (
     check_entropy_min,
     cli,
     distribution,
+    entropy,
     entropy_report,
     exact_histogram,
     exact_moment,
@@ -220,7 +221,7 @@ def test_range_refused_before_work(tmp_path, capsys, monkeypatch):
         raise AssertionError("work started before the guard refusal")
 
     monkeypatch.setattr(distribution, "exact_histogram", no_work)
-    monkeypatch.setattr(extremal, "shannon_entropy", no_work)
+    monkeypatch.setattr(entropy, "shannon_entropy", no_work)
     dest = tmp_path / "d"
     code, _, err = run(capsys, "hist", "01", "5..8", "--guard", "6", "--out", str(dest))
     assert code == 3 and err.startswith("capacity error:") and "(6)" in err
@@ -441,7 +442,7 @@ def test_ordering_findings_charged_before_forming(capsys, monkeypatch):
     code, out, err = run(capsys, "table", "8", "8")
     assert code == 3 and out == "" and err.count("\n") == 1
     assert err.startswith("capacity error:") and "32272 findings" in err
-    assert f"need {charge} bytes" in err
+    assert f"needs about {charge} bytes" in err
     monkeypatch.setattr(core, "MAX_BYTES", charge)
     code, out, err = run(capsys, "table", "8", "8")
     assert code == 4 and err.count("finding: ") == 32272
@@ -481,7 +482,7 @@ def test_exact_range_refused_on_table_bytes(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(core, "MAX_BYTES", _half_table_bytes(11, 2))
     monkeypatch.setattr(distribution, "exact_histogram", no_work)
-    monkeypatch.setattr(extremal, "shannon_entropy", no_work)
+    monkeypatch.setattr(entropy, "shannon_entropy", no_work)
     monkeypatch.setattr(extremal, "kappa_blocks", no_work)
     need = f"about {_half_table_bytes(14, 2)} bytes"
     dest = tmp_path / "d"

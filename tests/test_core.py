@@ -1,4 +1,6 @@
 import itertools
+import re
+import sys
 
 import pytest
 
@@ -15,7 +17,7 @@ from delentropy import (
     reverse,
     runs,
 )
-from delentropy.core import validate_pattern, validate_text
+from delentropy.core import CapacityError, validate_pattern, validate_text
 from delentropy.extremal import kappa_blocks
 
 import oracles
@@ -152,3 +154,56 @@ def test_one_length_rule(entry, m, n, capsys):
         with pytest.raises(ValueError) as exc:
             entry()
         assert str(exc.value) == msg
+
+
+def _charge_sites():
+    """(site, module and name of its bound, cost by its own model, call) for
+    every byte and cell-step refusal; no call charges anything dearer first."""
+    from delentropy import core, extremal
+
+    byte_bound, step_bound = (core, "MAX_BYTES"), (moments, "_MOMENT_CELL_STEPS")
+    h = k = 10  # the halves of n = 20
+    yield ("check_enumeration", byte_bound, ((h + 8 * 4) << h) + ((k + 12 * 4) << k),
+           lambda: core.check_enumeration(20, 3, None))
+    yield ("_check_dict", byte_bound,
+           embedding._support_size(16, 1) * (16 + embedding._DICT_ROW_BYTES),
+           lambda: embedding._check_dict("0", 16, None))
+    yield ("sample block", byte_bound, 100 * (2 * 1000 + 25 * 4) + 3 * 1000 + (1 << 16),
+           lambda: distribution.check_sample_block(1000, 3, 100))
+    # 10^5 weights form one group, below _PAIRS rounded to whole blocks
+    top, group = binomial(20, 8), min(10**5, distribution._PAIRS)
+    b = sys.getsizeof(top)
+    yield ("sample tally", byte_bound, min(10**5, top + 1) * (107 + b) + group * (41 + b),
+           lambda: distribution.check_sample_block(20, 8, 10**5))
+    m = moments._TABLE_CACHE + 1
+    yield ("interleavings", byte_bound, moments._table_bytes(m), lambda: moments._interleavings(m))
+    table = ordering_table(6, 6)
+    assert table.violations
+    yield ("ordering findings", byte_bound, len(table.violations) * extremal._FINDING_BYTES,
+           lambda: extremal._ordering_violations(table.rows))
+    yield ("cell steps", step_bound, 40 * binomial(14, 4),
+           lambda: moments.check_cell_steps(10, 4, 40))
+    # the full pass of 20 steps over C(12, 2) cells fits below the bound, so
+    # the 10 evaluations of 2 * 20 products are charged with it
+    yield ("range evaluations", step_bound, 20 * binomial(12, 2) + 10 * 40,
+           lambda: moments.check_range_cell_steps(10, 2, range(20, 30)))
+
+
+_ONE_SHAPE = re.compile(
+    r"^.+ needs about (\d+) (bytes|cell-steps)( \(.+\))?, above the bound of (\d+) \2$"
+)
+
+
+def test_every_cost_refusal_has_one_shape(monkeypatch):
+    # one unit below its own cost each site refuses in the one shape of
+    # core.charge, naming that cost and the patched bound; at the cost it runs
+    for site, (module, name), cost, call in _charge_sites():
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, cost - 1)
+            with pytest.raises(CapacityError) as refused:
+                call()
+            got = _ONE_SHAPE.match(str(refused.value))
+            assert got, (site, str(refused.value))
+            assert (int(got[1]), int(got[4])) == (cost, cost - 1), site
+            patch.setattr(module, name, cost)
+            call()

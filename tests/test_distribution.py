@@ -427,7 +427,7 @@ def test_sample_histogram_block_bytes(monkeypatch):
         raise AssertionError("a block was drawn before the refusal")
 
     monkeypatch.setattr(distribution, "_count_block", no_draw)
-    with pytest.raises(CapacityError, match="over the 1073741824-byte bound"):
+    with pytest.raises(CapacityError, match="above the bound of 1073741824 bytes"):
         sample_histogram("01", 10**6, 100_000, seed=1)
     # the tally of 10^8 texts can hold 10^8 distinct weights, some 13.9 GB
     with pytest.raises(CapacityError, match="the tally of 100000000 sampled texts"):

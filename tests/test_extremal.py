@@ -13,7 +13,7 @@ from delentropy import (
     search_kappa_min,
     verify_kappa_max,
 )
-from delentropy import cli, core, extremal
+from delentropy import cli, core, entropy, extremal
 from delentropy.core import CapacityError
 from delentropy.extremal import (
     ExtremalInvariantError,
@@ -420,7 +420,7 @@ def test_entropy_min_guard_before_work(monkeypatch):
     def no_entropy(*args, **kwargs):
         raise AssertionError("entropy computed before the guard refusal")
 
-    monkeypatch.setattr(extremal, "shannon_entropy", no_entropy)
+    monkeypatch.setattr(entropy, "shannon_entropy", no_entropy)
     with pytest.raises(CapacityError, match="2\\^33 texts"):
         check_entropy_min(3, range(8, 34))
     # then the lengths on its smallest n, wherever it sits

@@ -69,6 +69,18 @@ def test_closed_form_commands_never_import_numpy(argv, want, capsys):
     assert (out, "".join(msg)) == capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv", [["kappa", "--all", "8"], ["extremal", "--criterion", "kappa-max", "8"]]
+)
+def test_kappa_scans_never_import_entropy(argv):
+    # the scans need numpy but neither the entropies nor the histograms
+    code, _, err = _child(f"from delentropy.cli import main\nmain(sys.argv[1:])\n{_LOADED}", *argv)
+    assert code == 0
+    loaded = err.splitlines()[-1]
+    assert "delentropy.extremal" in loaded
+    assert "delentropy.entropy" not in loaded and "delentropy.distribution" not in loaded
+
+
 def test_public_names_are_their_modules_objects():
     import importlib
 
