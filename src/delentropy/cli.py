@@ -43,7 +43,11 @@ function, and ``import delentropy`` loads none, so a process pays only for
 what it runs.  ``moments --mode asymptotic``, ``kappa PATTERN`` (with or
 without ``--decomposition``) and the guard, length and byte refusals of
 exact ``hist`` and of ``posterior`` never import numpy: they are exact-int
-closed forms and checks.  Every other subcommand builds arrays and loads it.
+closed forms and checks.  Nor do exact ``moments``, ``gaussian`` and
+``entropy --mode estimate|renyi2`` when their moment tensor pass takes at
+most 2^17 cell-steps (``moments._PURE_CELL_STEPS``): such a pass runs in
+pure Python, faster than the numpy import alone.  Every other subcommand,
+and a larger tensor, builds arrays and loads it.
 """
 
 from __future__ import annotations

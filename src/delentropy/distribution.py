@@ -148,15 +148,16 @@ def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarra
     and W(uv) = sum_i c_i(u) * s_i(v) is summed in int64 over the
     ``_half_counts`` of bits[:h] and bits[h:], each half stepped in the
     narrowest type of the uint8 -> uint16 -> uint32 -> int64 ladder that
-    holds it.  When C(n, m) >= 2^62 could overflow int64, the weights come
-    from the ``count_embeddings`` walker instead, as an object array of
-    exact ints (same bits): the block's texts are rendered as one byte
-    string of '0'/'1' characters, and each n-byte slice is decoded and
-    walked.
+    holds it, and viewed as uint64 when C(n, m) >= 2^63.  When C(n, m) >=
+    2^64 could overflow even that, the weights come from the
+    ``count_embeddings`` walker instead, as an object array of exact ints
+    (same bits): the block's texts are rendered as one byte string of
+    '0'/'1' characters, and each n-byte slice is decoded and walked.
     """
     bits = _stream_bits(seed, stream, size, n)
     m = len(x)
-    if core.binomial(n, m) >= 2**62:
+    top = core.binomial(n, m)
+    if top >= 2**64:
         # an object rung atop the ladder was slower at m = 200 and outgrew the bytes charged
         bits += ord("0")  # in place: the block's own bits, no third copy
         chars = bits.T.tobytes()
@@ -169,9 +170,10 @@ def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarra
     pre, suf = _half_counts(x, bits[:h], bits[h:])
     # Half rows may pass 2^64 and wrap (C(70, 35) > 2^64 at x = "0" * 135,
     # n = 140), but int64 arithmetic is exact mod 2^64 and W <= C(n, m) <
-    # 2^62, so the wrapped sum is W itself.
+    # 2^64, so the wrapped sum, read as uint64, is W itself.
     pre *= suf
-    return pre.sum(axis=0)
+    weights = pre.sum(axis=0)
+    return weights.view(np.uint64) if top >= 2**63 else weights
 
 
 def _stream_bits(seed: int, stream: int, size: int, n: int) -> np.ndarray:

@@ -18,11 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import core
-from .distribution import WeightHistogram, exact_histogram
-from .embedding import total_masks
 from .moments import MomentSet, raw_moments
+
+if TYPE_CHECKING:
+    from .distribution import WeightHistogram
 
 _LN2 = math.log(2.0)
 
@@ -61,12 +63,16 @@ def shannon_entropy(x: str, n: int, *, guard: int | None = None) -> float:
     once whatever the order of its terms, so patterns with equal
     histograms get bit-identical entropies.
     """
+    from .distribution import exact_histogram
+
     return _shannon_bits(exact_histogram(x, n, guard=guard))
 
 
 def _shannon_bits(hist: WeightHistogram) -> float:
     # int / int true division rounds the exact ratio once (correctly
     # rounded), so no Fraction and no gcd is needed per class
+    from .embedding import total_masks
+
     n, m = hist.text_length, len(hist.pattern)
     mu = total_masks(n, m)
     acc = math.fsum(
@@ -110,6 +116,8 @@ def _log2_shifted(a: int, shift: int) -> float:
 
 def min_entropy(x: str, n: int, *, guard: int | None = None) -> float:
     """Min-entropy -log2(max posterior probability) in bits."""
+    from .distribution import exact_histogram
+
     return _min_entropy_bits(exact_histogram(x, n, guard=guard))
 
 
@@ -126,6 +134,8 @@ def entropy_report(x: str, n: int, *, guard: int | None = None) -> EntropyReport
     the Renyi-2 value is ``renyi2_entropy``'s bit for bit (both log the
     same ints) with no moment DP.
     """
+    from .distribution import exact_histogram
+
     hist = exact_histogram(x, n, guard=guard)
     sum_w2 = sum(c * w * w for w, c in hist.counts.items())
     return EntropyReport(

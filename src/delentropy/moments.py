@@ -10,7 +10,8 @@ uniform random text of length n.  This module computes:
   so it is stored and stepped on the C(m+r, r) sorted index tuples only.
   One pass of O(r*m * nnz) big-int additions, for a step plan of
   nnz < 2^(r+1) * C(m+r, r) terms, runs once per (pattern, order) and is
-  cached; each n then costs O(r * r*m) big-int products;
+  cached, over numpy object vectors or, for a small pass before numpy is
+  loaded, over Python lists; each n then costs O(r * r*m) big-int products;
 * the autocorrelation coefficient kappa^2(x): the number of ways to
   interleave two copies of x so that they share exactly one position
   carrying equal symbols;
@@ -36,6 +37,13 @@ from .core import DegenerateDistributionError, binomial
 # Sorted tensor cells times DP steps raw_moments accepts: ~0.3 us each
 # (measured at m = 32..45, r = 4), ~40 s.
 _MOMENT_CELL_STEPS = 1 << 27
+
+# Cell-steps up to which a pass runs in pure Python while numpy is not yet
+# loaded.  Cold CLI runs of ``moments`` at order 4, numpy import and pass
+# against pure pass (2-core box, median of 5): 243 against 220 ms at m = 14
+# (171,360 cell-steps), 278 against 308 ms at m = 16 (310,080), so 2^17
+# keeps a margin below the crossover.
+_PURE_CELL_STEPS = 1 << 17
 
 # Newton coefficient tables are cached, one per (pattern, order, steps); the
 # bound keeps a scan over many patterns from holding every table for the life
@@ -132,19 +140,30 @@ def _newton_coefficients(x: str, r: int, steps: int) -> tuple[tuple[int, ...], .
     T = U^k T0 counts the r-tuples of prefix embeddings covering exactly
     k text positions; each step advances an index, so T vanishes after
     r * m steps.  T0 is symmetric and U commutes with permuting the axes,
-    so T is kept on the C(m+r, r) sorted index tuples only, as an exact-int
-    object vector, and one step is one gather and one ``np.add.reduceat``
-    along the plan of ``_step_plan``.  t_jk sits at the sorted tuple
-    (0, .., 0, m, .., m) with j entries m, whose code is (m+1)^j - 1.
-    numpy is imported here and in ``_step_plan`` only, so the closed forms
-    and kappa2 run without it.
+    so T is kept on the C(m+r, r) sorted index tuples only, as exact ints,
+    and one step is one gather and one grouped sum along the rule of
+    ``_step_plan``.  t_jk sits at the sorted tuple (0, .., 0, m, .., m)
+    with j entries m.  Once numpy is loaded, ``_array_pass`` is the faster
+    pass at every size; before, a pass of at most _PURE_CELL_STEPS
+    cell-steps runs in ``_pure_pass`` and spares the process the numpy
+    import, which costs more than the whole pass.
     """
+    if "numpy" not in sys.modules and steps * binomial(len(x) + r, r) <= _PURE_CELL_STEPS:
+        return _pure_pass(x, r, steps)
+    return _array_pass(x, r, steps)
+
+
+def _array_pass(x: str, r: int, steps: int) -> tuple[tuple[int, ...], ...]:
+    """``_newton_coefficients`` over an exact-int object vector: one step is
+    one gather and one ``np.add.reduceat`` along the plan of ``_step_plan``;
+    t_jk sits at code (m+1)^j - 1.  numpy is imported here and in
+    ``_step_plan`` only, so the closed forms, kappa2 and small cold passes
+    run without it."""
     import numpy as np
 
-    from .embedding import _pattern_bits
-
     m = len(x)
-    codes, dst, src, starts = _step_plan(_pattern_bits(x), r)
+    xb = np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")
+    codes, dst, src, starts = _step_plan(xb, r)
     corners = np.searchsorted(codes, (m + 1) ** np.arange(1, r + 1) - 1)
     tensor = np.zeros(len(codes), dtype=object)
     tensor[0] = 1  # empty text: c = (1, 0, ..., 0)
@@ -154,6 +173,43 @@ def _newton_coefficients(x: str, r: int, steps: int) -> tuple[tuple[int, ...], .
         nxt[dst] = np.add.reduceat(tensor[src], starts)
         tensor = nxt
         rows.append(tensor[corners].tolist())
+    return tuple(zip(*rows))
+
+
+def _pure_pass(x: str, r: int, steps: int) -> tuple[tuple[int, ...], ...]:
+    """``_newton_coefficients`` over a list of exact ints, with the rule of
+    ``_step_plan``: each cell's sources sort(cell - e_S), for every symbol
+    and nonempty set S of the axes whose index i > 0 has x_i equal to it,
+    are stored flat and grouped by destination, so one step is one
+    ``itemgetter`` gather and one ``map(sum, ...)`` over the groups, both in
+    C loops.  The cells come in the lexicographic order of ``_step_plan``'s
+    codes.  A zero sentinel cell, its own only source, keeps the gather a
+    tuple when the plan has one source (m = 1)."""
+    cells = list(itertools.combinations_with_replacement(range(len(x) + 1), r))
+    index = {cell: i for i, cell in enumerate(cells)}
+    src, groups = [], []
+    for cell in cells:
+        start = len(src)
+        for b in "01":
+            axes = [a for a, i in enumerate(cell) if i and x[i - 1] == b]
+            for k in range(1, len(axes) + 1):
+                for subset in itertools.combinations(axes, k):
+                    prev = list(cell)
+                    for a in subset:
+                        prev[a] -= 1
+                    src.append(index[tuple(sorted(prev))])
+        groups.append(slice(start, len(src)))
+    sentinel = len(cells)
+    groups.append(slice(len(src), len(src) + 1))
+    src.append(sentinel)
+    gather = operator.itemgetter(*src)
+    corners = [index[(0,) * (r - j) + (len(x),) * j] for j in range(1, r + 1)]
+    tensor = [1] + [0] * sentinel  # empty text: c = (1, 0, ..., 0)
+    rows = []
+    for _ in range(steps):
+        terms = gather(tensor)
+        tensor = list(map(sum, map(terms.__getitem__, groups)))
+        rows.append([tensor[i] for i in corners])
     return tuple(zip(*rows))
 
 

@@ -42,11 +42,18 @@ def test_tally_merges_across_chunks(monkeypatch):
     # a tiny pair budget splits the weights into many chunks and forces the
     # running merges of the tally; the results must not change
     sampled = sample_histogram("0110", 20, 3 * 8192 + 77, seed=5).counts
-    # int64 weights, then object weights (C(n, m) >= 2^62)
+    # int64 weights, uint64 weights (2^63 <= C(n, m) < 2^64), then object
+    # weights (C(n, m) >= 2^64)
     assert math.comb(96, 8) < 2**62 <= math.comb(66, 33)
+    assert 2**63 <= math.comb(67, 33) < 2**64 <= math.comb(68, 34)
     grouped = {
         args: sample_histogram(*args, seed=5).counts
-        for args in (("11001000", 96, 5 * 8192 + 77), ("01" * 16 + "0", 66, 2 * 8192 + 77))
+        for args in (
+            ("11001000", 96, 5 * 8192 + 77),
+            ("01" * 16 + "0", 66, 2 * 8192 + 77),
+            ("1" * 33, 67, 2 * 8192 + 77),
+            ("01" * 17, 68, 2 * 8192 + 77),
+        )
     }
     monkeypatch.setattr(distribution, "_PAIRS", 64)
     for x, n in (("01010", 14), ("0110", 13), ("1", 9), ("000", 12)):
@@ -69,10 +76,13 @@ def test_counts_ascend_and_are_attained(monkeypatch):
     # the order the CLI renders as given, and the floor the entropies rely on
     for x, n in (("0", 1), ("01", 5), ("0110", 11), ("01010", 14), ("111", 12)):
         assert _ascending_and_attained(exact_histogram(x, n)), (x, n)
-    # int64 weights, then object weights of exact ints (C(n, m) >= 2^62)
-    assert math.comb(66, 33) >= 2**62
+    # int64 weights, uint64 weights, then object weights of exact ints
+    # (C(n, m) >= 2^64)
+    assert math.comb(66, 33) >= 2**62 and 2**63 <= math.comb(67, 33) < 2**64
     assert _ascending_and_attained(sample_histogram("10010110", 200, 20000, seed=1))
     assert _ascending_and_attained(sample_histogram("01" * 16 + "0", 66, 3000, seed=2))
+    assert _ascending_and_attained(sample_histogram("1" * 33, 67, 3000, seed=2))
+    assert _ascending_and_attained(sample_histogram("01" * 17, 68, 3000, seed=2))
     # a sample spread over several groups, each reduced on its own
     monkeypatch.setattr(distribution, "_PAIRS", 2 * distribution._BLOCK)
     assert distribution.check_sample_block(96, 8, 5 * 8192 + 77) < 5 * 8192 + 77
@@ -228,7 +238,9 @@ def _redrawn_histogram(x, n, sample_size, seed):
         ("0000", 30, 3 * 8192 + 77, 17),  # four streams, few distinct weights
         ("011010011", 111, 1000, 23),  # odd n: halves of 55 and 56 reach int64
         ("0" * 135, 140, 60, 29),  # half rows can pass 2^64; C(140, 135) < 2^62
-        ("01" * 16 + "0", 66, 40, 3),  # C(66, 33) >= 2^62: big-int fallback
+        ("01" * 16 + "0", 66, 40, 3),  # C(66, 33) >= 2^62: int64 sums
+        ("1" * 33, 67, 40, 4),  # 2^63 <= C(67, 33) < 2^64: uint64 sums
+        ("01" * 17, 68, 40, 3),  # C(68, 34) >= 2^64: big-int fallback
     ],
 )
 def test_sample_histogram_matches_redrawn_counts(x, n, sample_size, seed):
@@ -247,8 +259,13 @@ def test_stream_bits_match_generator_integers():
         got = distribution._stream_bits(seed, stream, size, n)
         assert got.shape == (n, size) and got.dtype == np.uint8
         assert np.array_equal(got.T, want), (seed, stream, size, n)
-    # per-text weights, in draw order, on both weight paths
-    for x, n, seed, stream, size in (("0110", 13, 9, 2, 301), ("01" * 16 + "0", 66, 3, 0, 9)):
+    # per-text weights, in draw order, on every weight path
+    for x, n, seed, stream, size in (
+        ("0110", 13, 9, 2, 301),
+        ("01" * 16 + "0", 66, 3, 0, 9),
+        ("1" * 33, 67, 3, 1, 9),
+        ("01" * 17, 68, 3, 0, 9),
+    ):
         rng = np.random.Generator(np.random.PCG64(seed).jumped(stream))
         rows = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
         want = [count_embeddings(x, "".join(map(str, row.tolist()))) for row in rows]
@@ -256,20 +273,25 @@ def test_stream_bits_match_generator_integers():
 
 
 def test_big_int_block_matches_count_embeddings():
-    # C(n, m) >= 2^62 sends a block to the walker over its rendered texts;
-    # per text, in draw order, at n = 66 and at n = 67, where n * size is
-    # not a multiple of 8 and the stream's last word is partly used
+    # C(n, m) >= 2^64 sends a block to the walker over its rendered texts,
+    # below it the int64 sums are W, read as uint64 from 2^63; per text, in
+    # draw order, at n = 66 to 69, where n * size is not always a multiple
+    # of 8 and the stream's last word is then partly used
     for x, n, seed, stream, size in (
         ("01" * 16 + "0", 66, 5, 1, 300),
         ("0110" * 8 + "01", 67, 6, 2, 301),
         ("1" * 33, 67, 7, 0, 257),
+        ("01" * 17, 68, 8, 3, 300),
+        ("0110" * 8 + "010", 69, 9, 1, 301),
     ):
-        assert math.comb(n, len(x)) >= 2**62
+        top = math.comb(n, len(x))
+        assert top >= 2**62
         rng = np.random.Generator(np.random.PCG64(seed).jumped(stream))
         rows = rng.integers(0, 2, size=(size, n), dtype=np.uint8)
         want = [count_embeddings(x, "".join(map(str, row.tolist()))) for row in rows]
         got = distribution._count_block(x, n, seed, stream, size)
-        assert got.dtype == object and got.tolist() == want, (x, n)
+        dtype = object if top >= 2**64 else np.uint64 if top >= 2**63 else np.int64
+        assert got.dtype == dtype and got.tolist() == want, (x, n)
         assert any(w > 0 for w in want)
 
 
@@ -286,14 +308,14 @@ def _last_steps(m, most):
     return ends
 
 
-def _assert_block_counts(monkeypatch, x, rows):
+def _assert_block_counts(monkeypatch, x, rows, dtype=np.int64):
     """_count_block on the given texts (rows of 0/1) equals count_embeddings
-    per text."""
+    per text, in weights of ``dtype``."""
     bits = np.ascontiguousarray(np.array(rows, dtype=np.uint8).T)
     monkeypatch.setattr(distribution, "_stream_bits", lambda *args: bits)
     got = distribution._count_block(x, bits.shape[0], 0, 0, bits.shape[1])
     want = [count_embeddings(x, "".join(map(str, row))) for row in rows]
-    assert got.dtype == np.int64 and got.tolist() == want, (x, bits.shape[0])
+    assert got.dtype == dtype and got.tolist() == want, (x, bits.shape[0])
 
 
 def test_count_block_exact_on_every_rung(monkeypatch):
@@ -327,6 +349,19 @@ def test_count_block_wraps_exactly(monkeypatch):
     assert math.comb(70, 35) >= 2**64 and math.comb(140, 135) < 2**62
     _assert_block_counts(monkeypatch, "0" * 135, rows)
     _assert_block_counts(monkeypatch, "0" * 60 + "1" + "0" * 74, rows)
+
+
+def test_count_block_weights_up_to_two_to_the_64(monkeypatch):
+    # the all-ones text holds "1" * m C(n, m) times: past 2^63 at m = 33,
+    # n = 67, where the int64 sum wraps negative and is read as uint64, and
+    # past 2^64 at m = 34, n = 68, where the walker counts in exact ints
+    rng = np.random.default_rng(64)
+    for m, n, dtype in ((33, 67, np.uint64), (34, 68, object)):
+        assert (2**63 <= math.comb(n, m) < 2**64) == (dtype is np.uint64)
+        rows = [[1] * n, [1] * (n - 1) + [0], [j % 2 for j in range(n)]]
+        rows += rng.integers(0, 2, size=(4, n)).tolist()
+        for x in ("1" * m, "1" * (m - 1) + "0"):
+            _assert_block_counts(monkeypatch, x, rows, dtype)
 
 
 @pytest.mark.parametrize(

@@ -395,17 +395,17 @@ def test_entropy_rows_equal_per_pattern_entropies():
 
 def test_one_histogram_per_orbit(monkeypatch):
     # 20 orbits of {x, ~x, rev x, ~rev x} at m = 6, 6 at m = 4
-    from delentropy import entropy
+    from delentropy import distribution
     from delentropy.core import orbit_representative
 
     seen = []
-    real = entropy.exact_histogram
+    real = distribution.exact_histogram
 
     def counting(x, n, **kwargs):
         seen.append((x, n))
         return real(x, n, **kwargs)
 
-    monkeypatch.setattr(entropy, "exact_histogram", counting)
+    monkeypatch.setattr(distribution, "exact_histogram", counting)
     ordering_table(11, 6)
     assert len(seen) == len(set(seen)) == 20
     assert all(orbit_representative(x) == x for x, _ in seen)

@@ -1,5 +1,6 @@
 """Cold start: ``import delentropy`` loads no submodule, its public names
-resolve on first use, and the closed-form subcommands never import numpy."""
+resolve on first use, and the closed-form subcommands and small moment
+tensors never import numpy."""
 
 import subprocess
 import sys
@@ -49,6 +50,13 @@ def test_import_loads_no_submodule_and_no_numpy():
         (["kappa", "0110", "--decomposition"], 0),
         (["hist", "01", "31"], 3),
         (["posterior", "01", "31"], 3),
+        # small moment tensors run their pass in pure Python until numpy is
+        # loaded; this process has it loaded, so its bytes come from the
+        # numpy pass
+        (["moments", "0110", "200", "--r", "4"], 0),
+        (["gaussian", "0110", "10..24"], 0),
+        (["entropy", "0110", "120", "--mode", "estimate"], 0),
+        (["entropy", "0110", "40", "--mode", "renyi2"], 0),
     ],
 )
 def test_closed_form_commands_never_import_numpy(argv, want, capsys):
@@ -67,6 +75,15 @@ def test_closed_form_commands_never_import_numpy(argv, want, capsys):
     # the same bytes as the command run in this process
     assert main(argv) == want
     assert (out, "".join(msg)) == capsys.readouterr()
+
+
+def test_large_moment_tensor_imports_numpy(capsys):
+    # 56 steps over C(18, 4) cells: 171,360 cell-steps, above the pure pass
+    argv = ["moments", "01101001101001", "56", "--r", "4"]
+    code, out, err = _child(f"from delentropy.cli import main\nmain(sys.argv[1:])\n{_LOADED}", *argv)
+    assert code == 0
+    assert "'numpy'" in err.splitlines()[-1]
+    assert main(argv) == 0 and capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize(

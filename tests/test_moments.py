@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -159,6 +160,57 @@ def test_over_budget_pass_runs_min_n_steps(monkeypatch):
     accepted = sum(min(n, r * len(x)) * math.comb(len(x) + r, r) <= budget
                    for x, r, budget in cases for n in range(len(x), 4 * len(x) + 3))
     assert 0 < _newton_coefficients.cache_info().misses == accepted
+
+
+def _assert_passes_agree(x, r, steps):
+    want = moments._array_pass(x, r, steps)
+    assert moments._pure_pass(x, r, steps) == want, (x, r, steps)
+    assert len(want) == r and all(len(row) == steps for row in want)
+
+
+def test_pure_pass_matches_array_pass():
+    # every pattern up to m = 6 at orders 1..4, full passes and a short one
+    for m in range(1, 7):
+        for x in ("".join(p) for p in itertools.product("01", repeat=m)):
+            for r in range(1, 5):
+                _assert_passes_agree(x, r, r * m)
+                _assert_passes_agree(x, r, max(1, m - 1))
+    # orders 5 and 6 at small m, as the certificates may call them
+    for m in range(1, 5):
+        for x in ("".join(p) for p in itertools.product("01", repeat=m)):
+            for r in (5, 6):
+                _assert_passes_agree(x, r, r * m)
+    # random patterns up to the size the pure pass takes, the largest m at
+    # each order among them
+    rng = random.Random(24)
+    for r in (1, 2, 3, 4):
+        fits = [m for m in range(1, 400)
+                if r * m * math.comb(m + r, r) <= moments._PURE_CELL_STEPS]
+        for m in (fits[-1], rng.choice(fits), rng.choice(fits)):
+            _assert_passes_agree("".join(rng.choice("01") for _ in range(m)), r, r * m)
+
+
+def test_pass_chosen_by_numpy_and_size(monkeypatch):
+    # with numpy loaded every pass is the array pass
+    def refuse(*args):
+        raise AssertionError("pure pass run with numpy loaded")
+
+    want = raw_moments("011010", 200, 4)
+    monkeypatch.setattr(moments, "_pure_pass", refuse)
+    _newton_coefficients.cache_clear()
+    assert "numpy" in sys.modules and raw_moments("011010", 200, 4) == want
+    monkeypatch.undo()
+    # before numpy loads, the pure pass up to _PURE_CELL_STEPS, above it the
+    # array pass; both are replaced here, so numpy is not imported again
+    monkeypatch.delitem(sys.modules, "numpy")
+    monkeypatch.setattr(moments, "_pure_pass", lambda *args: "pure")
+    monkeypatch.setattr(moments, "_array_pass", lambda *args: "array")
+    # 5,040, 87,360, 171,360 and 2 cell-steps against 2^17
+    cases = {("011010", 4, 24): "pure", ("0" * 12, 4, 48): "pure",
+             ("0" * 14, 4, 56): "array", ("0", 1, 1): "pure"}
+    assert moments._PURE_CELL_STEPS == 1 << 17
+    for (x, r, steps), want in cases.items():
+        assert _newton_coefficients.__wrapped__(x, r, steps) == want, (x, r, steps)
 
 
 def test_moment_order_contract():
