@@ -49,8 +49,14 @@ most 2^17 cell-steps (``moments._PURE_CELL_STEPS``): such a pass runs in
 pure Python, faster than the numpy import alone.  Nor do ``extremal
 --criterion kappa-min|kappa-max M`` and ``kappa --all M`` for M <= 17
 (2^M <= ``extremal._PURE_PATTERNS`` patterns), whose kappa2 scan then runs
-over Python ints, or their m <= 30 refusal.  Every other subcommand, a
-larger tensor and a larger scan build arrays and load it.
+over Python ints, or their m <= 30 refusal.  Nor do exact ``hist``,
+``posterior``, ``entropy`` and ``entropy --mode min`` at n <= 16, nor
+``table N M`` and ``extremal --criterion entropy-min M --n-range A..B``
+whose histograms, one per symmetry orbit of the 2^M patterns and per n,
+cover at most 2^16 texts in all (``embedding._PURE_TEXTS``), nor
+``repro``: their exact enumerations run over Python ints.  Every other
+subcommand, a larger tensor, scan or enumeration, and every sampled
+``hist`` build arrays and load it.
 """
 
 from __future__ import annotations
@@ -59,7 +65,9 @@ import argparse
 import itertools
 import json
 import os
+import stat
 import sys
+import tempfile
 from pathlib import Path
 
 from . import core
@@ -85,11 +93,13 @@ def _row_chunks(args, header, blocks, footer=None):
 
     Every column keeps the cell type of its first-row cell, and no cell
     holds a character that ``csv`` quotes or ``json.dumps`` escapes, so
-    each line is one ``str.format`` of a per-column template: the bytes of
-    ``csv.writer`` and of ``json.dumps(dict(zip(header, row)))``.  Floats
-    are written to 4 decimals in CSV and rounded to 4 places in JSON, or
-    whole (their ``repr``) under ``--full-precision``.  The CSV header goes
-    out with the first block.
+    each line is one ``%`` format of a per-column line template of ``%s``
+    and ``%.4f`` cells: the bytes of ``csv.writer`` and of
+    ``json.dumps(dict(zip(header, row)))``.  A block is one format of the
+    template repeated once per row over all its cells.  Floats are written
+    to 4 decimals in CSV and rounded to 4 places in JSON, or whole (their
+    ``repr``) under ``--full-precision``.  The CSV header goes out with the
+    first block.
     """
     as_csv = args.format == "csv"
     template = None
@@ -99,16 +109,16 @@ def _row_chunks(args, header, blocks, footer=None):
             rounded = not (as_csv or args.full_precision) and any(floats)
             if as_csv:
                 yield ",".join(header) + "\n"
-                cell = "{}" if args.full_precision else "{:.4f}"
-                template = ",".join(cell if f else "{}" for f in floats) + "\n"
+                cell = "%s" if args.full_precision else "%.4f"
+                template = ",".join(cell if f else "%s" for f in floats) + "\n"
             else:
-                template = "{{%s}}\n" % ", ".join(
-                    f'"{h}": "{{}}"' if isinstance(v, str) else f'"{h}": {{}}'
+                template = "{%s}\n" % ", ".join(
+                    '"%s": %s' % (h.replace("%", "%%"), '"%s"' if isinstance(v, str) else "%s")
                     for h, v in zip(header, rows[0])
                 )
         if rounded:
             rows = [[round(v, 4) if f else v for v, f in zip(row, floats)] for row in rows]
-        yield "".join(itertools.starmap(template.format, rows))
+        yield (template * len(rows)) % tuple(itertools.chain.from_iterable(rows))
     if footer and as_csv:
         yield "".join(f"# {k}={v}\n" for k, v in footer.items())
     elif footer:
@@ -119,9 +129,12 @@ def _write(args, chunks, filename: str | None = None) -> None:
     """Write the text chunks in order to stdout or to --out, one at a time.
 
     An error raised while producing the first chunk surfaces before any
-    output, and a file whose later chunks fail is removed, so a refused
-    command leaves no partial file behind.  An OSError from creating the
-    file's directory or writing the file is a usage error naming the file.
+    output.  A new file, or an existing regular one, is written through a
+    temporary file beside it (``_replace``), so a command that fails leaves
+    the destination as it found it.  Any other existing path (a device, a
+    FIFO) is written in place and never removed.  An OSError from creating
+    the file's directory or writing the file is a usage error naming the
+    file.
     """
     chunks = iter(chunks)
     first = next(chunks, "")
@@ -132,16 +145,39 @@ def _write(args, chunks, filename: str | None = None) -> None:
     dest = Path(args.out) if filename is None else Path(args.out) / filename
     try:
         dest.parent.mkdir(parents=True, exist_ok=True)
-        fh = dest.open("w")
         try:
-            with fh:
+            mode = os.stat(dest).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is None or stat.S_ISREG(mode):
+            _replace(Path(os.path.realpath(dest)), mode, itertools.chain([first], chunks))
+        else:
+            with dest.open("w") as fh:
                 fh.write(first)
                 fh.writelines(chunks)
-        except BaseException:
-            dest.unlink(missing_ok=True)
-            raise
     except OSError as exc:
         raise ValueError(f"cannot write {dest}: {exc.strerror}") from exc
+
+
+def _replace(path: Path, mode: int | None, chunks) -> None:
+    """Write the chunks to a temporary file in path's directory and move it
+    over path only once the last is written; on any failure, remove only
+    the temporary file.  It gets the permissions of the file it replaces
+    (``mode``), or, for a new file, those ``open("w")`` gives: 0o666 less
+    the umask."""
+    if mode is None:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with open(fd, "w") as fh:
+            os.fchmod(fd, stat.S_IMODE(mode))
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _parse_n_range(text: str) -> range:

@@ -171,6 +171,15 @@ def orbit_representative(s: str) -> str:
     return min(s, c, reverse(s), reverse(c))
 
 
+def orbit_count(m: int) -> int:
+    """The number of orbits of the length-m bitstrings under complement and
+    reversal, by Burnside: of the four maps, the identity fixes 2^m strings,
+    complement none, reversal 2^ceil(m/2) and the reversed complement
+    2^(m/2) when m is even, none when it is odd."""
+    check_lengths(m)
+    return ((1 << m) + (1 << (m + 1) // 2) + (0 if m % 2 else 1 << m // 2)) // 4
+
+
 def per_orbit(m: int, fn) -> list[tuple[str, object]]:
     """[(x, fn(orbit_representative(x)))] for all length-m bitstrings x in
     lexicographic order, calling fn once per orbit.

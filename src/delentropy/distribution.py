@@ -7,23 +7,44 @@ of the text space even though they carry no posterior mass.
 Both histograms split each text at its midpoint (``core._halves``),
 and form W(uv) = sum_i c_i(u) * s_i(v) from prefix counts of x in u and
 suffix counts of x in v: the exact one over all half-texts at once, the
-sampled one per drawn text.  Both take c_i and s_i from
-``embedding._half_counts``, as the posterior rows do, stepped in the
-narrowest type of the uint8 -> uint16 -> uint32 -> int64 ladder that
-holds them.
+sampled one per drawn text.  The sampled one, and the array form of the
+exact one, take c_i and s_i from ``embedding._half_counts``, as the
+posterior rows do, stepped in the narrowest type of the uint8 -> uint16
+-> uint32 -> int64 ladder that holds them.
+
+The exact histogram has one rule in two forms, with the same counts in the
+same order: ``_array_tally`` over the numpy half tables and ``_pure_tally``
+over the same half counts as tuples of Python ints.  2^n texts take the
+pure form while numpy is not loaded and 2^n <= ``embedding._PURE_TEXTS``
+(``embedding._pure_enumeration``), where it costs less than the numpy
+import alone; a loop of histograms settles its form once, on its total
+(``embedding._settle_form``).  numpy is imported only inside the functions
+that build arrays, which the sampled histogram always does.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import core
-from .embedding import _half_counts, _half_tables, _walker
+from .embedding import (
+    _dot_rows,
+    _half_counts,
+    _half_tables,
+    _prefix_vectors,
+    _pure_enumeration,
+    _suffix_vectors,
+    _validate,
+    _walker,
+)
 from .moments import MomentSet, central_from_raw
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Sample index s is drawn by PRNG stream s // _BLOCK; stream j is the raw
 # output of PCG64(seed).jumped(j) (see _stream_bits), so results depend on
@@ -47,8 +68,9 @@ class WeightHistogram:
 
     Exact mode: multiplicities over all 2^n texts (they sum to 2^n).
     Sampled mode: counts over ``sample_size`` texts drawn i.i.d. uniform.
-    In both, ``_tally`` fills ``counts`` in ascending weight order and holds
-    only attained weights, so every count is at least 1.
+    In both, ``counts`` is in ascending weight order (``_tally``, or
+    ``_pure_tally``) and holds only attained weights, so every count is at
+    least 1.
     """
 
     pattern: str
@@ -65,25 +87,39 @@ class WeightHistogram:
 def exact_histogram(x: str, n: int, *, guard: int | None = None) -> WeightHistogram:
     """Exact multiplicity of every weight value over all 2^n texts.
 
-    Meet in the middle on the half tables of ``_half_tables``: each text
-    splits as y = uv at its midpoint, and W(uv) = sum_i c_i(u) * s_i(v),
-    where c_i(u) counts x[:i] in u and s_i(v) counts x[i:] in v.  Halves
-    with equal count columns are merged with their multiplicities
-    (``_distinct_columns``), and W = C.T @ S is tallied over all pairs of
-    distinct columns in chunks, in exact integer arithmetic.
+    Meet in the middle: each text splits as y = uv at its midpoint
+    (``core._halves``), and W(uv) = sum_i c_i(u) * s_i(v), where c_i(u)
+    counts x[:i] in u and s_i(v) counts x[i:] in v.  Halves with equal
+    count vectors are merged with their multiplicities, and W is tallied
+    over all pairs of distinct vectors in exact integer arithmetic, by
+    ``_pure_tally`` while ``embedding._pure_enumeration`` admits its 2^n
+    texts, else by ``_array_tally``.  x and n are checked, and the guard
+    and byte bound applied (``embedding._validate``), whichever form runs.
     """
+    _validate(x, n, guard)
+    pure = _pure_enumeration(1 << n)
+    counts = _pure_tally(x, n) if pure else _array_tally(x, n, guard)
+    return WeightHistogram(pattern=x, text_length=n, counts=counts, mode="exact")
+
+
+def _array_tally(x: str, n: int, guard: int | None) -> dict[int, int]:
+    """The counts of ``exact_histogram`` from the numpy half tables of
+    ``_half_tables``: distinct columns (``_distinct_columns``) with their
+    multiplicities, and W = C.T @ S tallied over all pairs of them in
+    chunks (``_tally``)."""
+    import numpy as np
+
     pre, suf = _half_tables(x, n, guard)
     pre, pre_mult = _distinct_columns(pre)
     suf, suf_mult = _distinct_columns(suf)
     step = max(1, _PAIRS // len(suf))
-    counts = _tally(
+    return _tally(
         _merge(
             (pre[lo : lo + step] @ suf.T).ravel(),
             np.multiply.outer(pre_mult[lo : lo + step], suf_mult).ravel(),
         )
         for lo in range(0, len(pre), step)
     )
-    return WeightHistogram(pattern=x, text_length=n, counts=counts, mode="exact")
 
 
 def _distinct_columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,6 +130,8 @@ def _distinct_columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     one 1-D ``np.unique`` finds them; its order is a byte order, not the
     numeric one, which the weight-sorted tally never sees.
     """
+    import numpy as np
+
     rows = np.ascontiguousarray(table.T)
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, mult = np.unique(keys, return_index=True, return_counts=True)
@@ -103,6 +141,8 @@ def _distinct_columns(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _merge(weights: np.ndarray, mult: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct weights, ascending, with their summed multiplicities:
     argsort + np.add.reduceat."""
+    import numpy as np
+
     order = np.argsort(weights)
     weights, mult = weights[order], mult[order]
     starts = np.flatnonzero(np.r_[True, weights[1:] != weights[:-1]])
@@ -122,6 +162,8 @@ def _tally(blocks) -> dict[int, int]:
     in ascending weight order, is filled from _BLOCK-entry slices of the
     merged arrays, so no full-length list of Python ints is held beside it.
     """
+    import numpy as np
+
     pending, size, limit = [], 0, _PAIRS
     for block in blocks:
         pending.append(block)
@@ -140,6 +182,29 @@ def _tally(blocks) -> dict[int, int]:
     return counts
 
 
+def _pure_tally(x: str, n: int) -> dict[int, int]:
+    """The counts of ``exact_histogram`` over Python ints, in ascending
+    weight order, the zero bin included.
+
+    The distinct prefix counts of x over the |u|-bit halves and suffix
+    counts over the |v|-bit halves (``embedding._prefix_vectors`` and
+    ``_suffix_vectors``) are counted with their multiplicities; W = c . s
+    is formed for all suffix vectors of a prefix vector at once
+    (``embedding._dot_rows``) and tallied over every pair, weighted by the
+    product of their multiplicities.  Merging equal vectors at every step
+    of the walk instead was about 10% faster at n = 16, a millisecond at
+    most.
+    """
+    h, k = core._halves(n)
+    suf = Counter(_suffix_vectors(x, k))
+    dots = _dot_rows(list(suf), core.binomial(n, len(x)))
+    counts: dict[int, int] = {}
+    for c, a in Counter(_prefix_vectors(x, h)).items():
+        for w, b in zip(dots(c), suf.values()):
+            counts[w] = counts.get(w, 0) + a * b
+    return dict(sorted(counts.items()))
+
+
 def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarray:
     """Weights of one PRNG stream's slice of the sample index space.
 
@@ -154,6 +219,8 @@ def _count_block(x: str, n: int, seed: int, stream: int, size: int) -> np.ndarra
     (same bits): the block's texts are rendered as one byte string of
     '0'/'1' characters, and each n-byte slice is decoded and walked.
     """
+    import numpy as np
+
     bits = _stream_bits(seed, stream, size, n)
     m = len(x)
     top = core.binomial(n, m)
@@ -188,6 +255,8 @@ def _stream_bits(seed: int, stream: int, size: int, n: int) -> np.ndarray:
     in place reaches the same state without the copy, which ``jumped``
     first seeds from OS entropy (about half the cost of a one-text block).
     """
+    import numpy as np
+
     raw = np.random.PCG64(seed).advance(stream * _JUMP).random_raw(-(-size * n // 8))
     stream_bytes = raw.astype("<u8", copy=False).view(np.uint8)[: size * n]
     bits = np.empty((n, size), dtype=np.uint8)
@@ -266,6 +335,8 @@ def sample_histogram(
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     group = check_sample_block(n, m, sample_size)
+    import numpy as np
+
     counts = _tally(
         np.unique(
             np.concatenate([

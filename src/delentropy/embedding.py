@@ -5,19 +5,31 @@ number of ways x embeds into y as a subsequence (the number of increasing
 index sets projecting y onto x).  Conditioned on observing x, a text carries
 posterior probability weight / total, where the total over all length-n texts
 is C(n, m) * 2^(n-m).
+
+The posterior rows have one rule in two forms, with the same rows in the
+same order: the half tables of ``_half_tables``, int64 numpy arrays, and
+``_pure_rows``, the same half-count vectors as tuples of Python ints.  An
+enumeration of at most ``_PURE_TEXTS`` texts takes the pure form while
+numpy is not loaded (``_pure_enumeration``, by ``core.before_numpy``),
+where it costs less than the numpy import alone; the exact histogram of
+``distribution`` follows the same rule.  numpy is imported only inside the
+functions that build arrays, so a small cold enumeration never loads it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
-from typing import Callable, Iterator
-
-import numpy as np
+from itertools import compress, islice
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from . import core
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Texts whose weights ``uncertainty_blocks`` forms at once: with the
 # zero-weight texts dropped, a block holds at most this many rows, which
@@ -33,6 +45,20 @@ _DICT_ROW_BYTES = 120
 
 # Patterns whose compiled text walks ``count_embeddings`` keeps.
 _WALKERS = 256
+
+# Texts up to which an exact enumeration runs over Python ints while numpy
+# is not loaded: a histogram or a posterior of 2^n texts, or a loop of
+# histograms on its total.  In process (min of 3, random patterns at
+# m = 1..16) the pure histogram and posterior rows take at most 15 ms at
+# n = 16 and 29 and 34 ms at n = 18.  Cold CLI runs, pure form against
+# numpy import and array form (2-core box, median of 11): ``hist`` of an
+# 8-bit pattern 77 against 201 ms at n = 16 and 114 against 145 ms at
+# n = 20, but 254 against 208 ms at n = 22 (5 runs), where a 10-bit
+# pattern loses by more (617 against 392 ms); ``posterior 100`` 86
+# against 172 ms at n = 16 and 364 against 484 ms at n = 20 (5 runs);
+# ``table 14 6`` (20 orbits of 2^14 texts) 114 against 163 ms.  2^16
+# keeps a margin below every crossover.
+_PURE_TEXTS = 1 << 16
 
 
 @dataclass
@@ -105,6 +131,8 @@ def _walker(x: str) -> Callable[[str], int]:
 
 def _pattern_bits(x: str) -> np.ndarray:
     """The pattern as a uint8 array of 0/1 symbols."""
+    import numpy as np
+
     return np.frombuffer(x.encode(), dtype=np.uint8) - ord("0")
 
 
@@ -125,6 +153,8 @@ def _rung_ends(m: int, steps: int) -> tuple[int, int, int]:
     step whose bound is within its maximum.  Cached, since every block of
     a sample walks the same two halves.
     """
+    import numpy as np
+
     ends, s = [], 0
     for dtype in (np.uint8, np.uint16, np.uint32):
         limit = np.iinfo(dtype).max
@@ -143,6 +173,8 @@ def _prefix_counts(xb: np.ndarray, bits: np.ndarray) -> np.ndarray:
     ``astype`` at each of the ``_rung_ends``, so the unsigned rungs never
     overflow.
     """
+    import numpy as np
+
     dp = np.zeros((len(xb) + 1, bits.shape[1]), dtype=np.uint8)
     dp[0] = 1
     cols, s = iter(bits), 0
@@ -170,6 +202,53 @@ def _half_counts(x: str, ubits: np.ndarray, vbits: np.ndarray) -> tuple[np.ndarr
     return _prefix_counts(xb, ubits), _prefix_counts(xb[::-1], vbits[::-1])[::-1]
 
 
+def _step(c: tuple[int, ...], x: str, b: str) -> tuple[int, ...]:
+    """The prefix counts of x in the text ub from those, c, of x in u:
+    c'_0 = 1 and c'_i = c_i + [x_(i-1) = b] c_(i-1), from the old c."""
+    return (1, *[ci + prev if xi == b else ci for ci, prev, xi in zip(c[1:], c, x)])
+
+
+def _prefix_vectors(x: str, k: int) -> list[tuple[int, ...]]:
+    """The prefix counts (c_0..c_m) of x in every k-bit half u, in text
+    order, as tuples of Python ints: the column u of ``_prefix_counts``.
+    Each step appends a bit to every half, so the order is kept."""
+    vecs = [(1,) + (0,) * len(x)]
+    for _ in range(k):
+        vecs = [_step(c, x, b) for c in vecs for b in "01"]
+    return vecs
+
+
+def _suffix_vectors(x: str, k: int) -> list[tuple[int, ...]]:
+    """The suffix counts (s_0..s_m) of x in every k-bit half v, in text
+    order, s_i counting x[i:] in v: the prefix counts of reverse(x) in
+    reverse(v), rows flipped, as in ``_half_counts``.  Each step puts a bit
+    in front of every half, so the halves led by 0 come first."""
+    rx, vecs = x[::-1], [(1,) + (0,) * len(x)]
+    for _ in range(k):
+        vecs = [_step(c, rx, b) for b in "01" for c in vecs]
+    return [c[::-1] for c in vecs]
+
+
+def _dot_rows(rows: list[tuple[int, ...]], top: int) -> Callable[[tuple[int, ...]], list[int]]:
+    """A function of a vector c returning [c . s for s in rows], each dot
+    product a nonnegative int at most ``top``.
+
+    Column i of rows is packed into one int, entry j in field j of the
+    narrowest ``array`` item that holds top.  A call is then at most m + 1
+    products of a small int and a packed column, whose fields never carry,
+    and the fields are read back through one ``array`` of the sum's bytes.
+    """
+    code = next(c for c in "BHILQ" if top >> 8 * array(c).itemsize == 0)
+    size, order = array(code).itemsize * len(rows), sys.byteorder
+    cols = [int.from_bytes(array(code, col).tobytes(), order) for col in zip(*rows)]
+
+    def dots(c):
+        packed = sum(ci * col for ci, col in zip(c, cols) if ci)
+        return array(code, packed.to_bytes(size, order)).tolist()
+
+    return dots
+
+
 def total_masks(n: int, m: int) -> int:
     """Total embedding count over all length-n texts: C(n, m) * 2^(n-m)."""
     core.check_lengths(m, n)
@@ -184,6 +263,8 @@ def bit_strings(values: np.ndarray, width: int) -> list[str]:
     matrix with a newline column, which is decoded once and split, so no
     (rows, width) int64 temporary and no per-value format call is needed.
     """
+    import numpy as np
+
     chars = np.full((len(values), width + 1), ord("\n"), dtype=np.uint8)
     for j in range(width):
         chars[:, j] = ((values >> (width - 1 - j)) & 1) + ord("0")
@@ -208,6 +289,8 @@ def _half_bits(k: int) -> np.ndarray:
     (2^k, k) temporary is formed.  The kappa2 scan takes its bit rows of
     consecutive integers from the transpose.
     """
+    import numpy as np
+
     rows = np.zeros((k, 1 << k), dtype=np.uint8)
     for j in range(k):
         rows[j].reshape(1 << j, 2, -1)[:, 1] = 1
@@ -248,11 +331,61 @@ def _support_size(n: int, m: int) -> int:
     return sum(core.binomial(n, i) for i in range(m, n + 1))
 
 
+def _pure_enumeration(texts: int) -> bool:
+    """Whether an exact enumeration costed at ``texts`` texts runs over
+    Python ints: only before numpy loads, up to _PURE_TEXTS texts
+    (``core.before_numpy``)."""
+    return core.before_numpy(texts, _PURE_TEXTS)
+
+
+def _settle_form(texts: int) -> None:
+    """Settle the form of a loop of enumerations of ``texts`` texts in all
+    at once: if the pure form would not take the total, load numpy, so each
+    enumeration of the loop takes the array form.  Otherwise each one is
+    within the total and takes the pure form, and the loop never pays for
+    both forms."""
+    if not _pure_enumeration(texts):
+        _load_numpy()
+
+
+def _load_numpy() -> None:
+    """Import numpy: from then on ``core.before_numpy`` picks the array
+    form of every job in this process."""
+    import numpy  # noqa: F401
+
+
+def _pure_rows(x: str, n: int) -> Iterator[tuple[list[str], list[int]]]:
+    """The rows of ``uncertainty_blocks`` over Python ints, one block per
+    half u with any nonzero weight: W(uv) is the dot product of the
+    ``_prefix_vectors`` of u and the ``_suffix_vectors`` of v, for the
+    halves of ``core._halves``, all in text order (``_dot_rows``)."""
+    h, k = core._halves(n)
+    dots = _dot_rows(_suffix_vectors(x, k), core.binomial(n, len(x)))
+    vs = [format(v, f"0{k}b") for v in range(1 << k)]
+    for u, c in enumerate(_prefix_vectors(x, h)):
+        weights = dots(c)
+        if any(weights):
+            u_text = format(u, f"0{h}b") if h else ""
+            yield list(map(u_text.__add__, compress(vs, weights))), list(filter(None, weights))
+
+
 def uncertainty_blocks(
     x: str, n: int, *, guard: int | None = None
 ) -> Iterator[tuple[list[str], list[int]]]:
     """Yield the rows of ``uncertainty_set`` as (texts, weights) list pairs
     of at most ``_ROWS`` rows each, in the same order.
+
+    x, n and the guard are checked first (``_validate``).  Then 2^n texts
+    take ``_pure_rows`` while ``_pure_enumeration`` admits them, and
+    ``_array_rows`` otherwise; the rows and their order are the same.
+    """
+    _validate(x, n, guard)
+    pure = _pure_enumeration(1 << n)
+    yield from _pure_rows(x, n) if pure else _array_rows(x, n, guard)
+
+
+def _array_rows(x: str, n: int, guard: int | None) -> Iterator[tuple[list[str], list[int]]]:
+    """The blocks of ``uncertainty_blocks`` from the numpy half tables.
 
     A block is a run of ``_ROWS`` consecutive texts uv of ``pre.T @ suf``
     over the half tables of ``_half_tables``: several whole u-rows when
@@ -267,6 +400,8 @@ def uncertainty_blocks(
     whose u-rows all have a(u) < min_v b(v) holds only zero weights: it is
     skipped unformed (constant patterns leave one live u-row).
     """
+    import numpy as np
+
     pre, suf = _half_tables(x, n, guard)
     pre = np.ascontiguousarray(pre.T)
     reach = (pre > 0).sum(axis=1) - 1  # a(u)

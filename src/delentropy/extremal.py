@@ -12,12 +12,18 @@ and ``_pure_blocks``, over Python ints.  Both scans, the ordering table's
 kappa2 column and ``kappa --all`` take ``_pure_blocks`` while numpy is not
 loaded and 2^m <= _PURE_PATTERNS (``core.before_numpy``), where it costs
 less than the numpy import alone, and ``kappa_blocks`` otherwise.  numpy
-and ``embedding`` are imported only inside the functions that build
-arrays, so a small cold scan loads neither.
+is imported only inside the functions that build arrays, and
+``embedding`` only inside those and the entropy jobs, so a small cold
+scan loads neither.  The findings of the ordering
+table have two forms in the same way, ``_pure_order`` and
+``_array_order``; the entropy rows take the forms of the exact histogram,
+settled once per table or range of n (``_settle_entropy_form``).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -51,6 +57,12 @@ _KAPPA_BLOCK = 1 << 13
 # the kernel wins both, 308 against 316 ms and 1191 against 1605 ms.  2^17
 # keeps a margin below both crossovers.
 _PURE_PATTERNS = 1 << 17
+
+# Rows up to which the findings of an ordering table are listed over
+# Python lists while numpy is not loaded: 2^8, the most patterns of a table
+# whose entropy rows run in pure Python (orbit_count(m) << n <= 2^16 holds
+# up to m = n = 8).
+_PURE_ORDER_ROWS = 1 << 8
 
 # Bytes one ordering finding costs while the list of findings is built: its
 # dict and its list slot, 281 B held and at most 281.22 B at the peak per
@@ -338,12 +350,24 @@ def search_kappa_min(m: int, *, workers: int = 1) -> ExtremalResult:
     )
 
 
+def _settle_entropy_form(m: int, ns) -> None:
+    """Settle once the form of the histograms behind the entropy rows of
+    all 2^m patterns at every n of ns: one histogram of 2^n texts per orbit
+    and n (``core.orbit_count``), costed on that total by
+    ``embedding._settle_form``."""
+    from .embedding import _settle_form
+
+    _settle_form(core.orbit_count(m) * sum(1 << n for n in ns))
+
+
 def _entropy_rows(n: int, m: int, guard: int | None) -> list[tuple[str, float]]:
     """(x, Shannon bits) for all 2^m patterns in lexicographic order, one
     exact histogram per symmetry orbit: complement and reversal leave the
-    histogram, and so the bits, unchanged."""
+    histogram, and so the bits, unchanged.  The histograms take one form,
+    settled on their total (``_settle_entropy_form``)."""
     from .entropy import shannon_entropy
 
+    _settle_entropy_form(m, [n])
     return core.per_orbit(m, lambda x: shannon_entropy(x, n, guard=guard))
 
 
@@ -379,14 +403,59 @@ def _ordering_violations(rows) -> list[dict]:
     rows with H_low <= H_high are then its inversions, in row order.  The
     findings are counted exactly and charged ``_FINDING_BYTES`` each
     (``core.charge``) before any is formed: near n = m their number
-    approaches 2^(2m-1).
+    approaches 2^(2m-1).  The groups, heads and inversions come from
+    ``_pure_order`` for at most _PURE_ORDER_ROWS rows while numpy is not
+    loaded (``core.before_numpy``), and from ``_array_order`` otherwise,
+    whose per-head ``flatnonzero`` keeps ``table 16 16`` fast.
     """
+    xs, ks, hs = zip(*rows)
+    pure = core.before_numpy(len(rows), _PURE_ORDER_ROWS)
+    ties, heads, count, inversions = (_pure_order if pure else _array_order)(ks, hs)
+    core.charge(f"listing the {count} findings of the entropy ordering of {len(rows)} patterns",
+                count * _FINDING_BYTES, f"{_FINDING_BYTES} per finding")
+    violations = [
+        dict(kind="tie-mismatch", kappa2=ks[s], patterns=list(xs[s:e]), H_spread=b - a)
+        for s, e, a, b in ties
+    ]
+    for i in heads:
+        for j in inversions(i):
+            violations.append(dict(
+                kind="ordering", pattern_high=xs[i], pattern_low=xs[j],
+                kappa2_high=ks[i], kappa2_low=ks[j], H_high=hs[i], H_low=hs[j],
+            ))
+    return violations
+
+
+def _pure_order(ks, hs):
+    """(ties, heads, count, inversions) of ``_ordering_violations`` over
+    Python lists: the tied groups as (start, end, min H, max H), the rows
+    that head an inversion, the number of findings, and a function of a
+    head giving its inversions in row order."""
+    size = len(ks)
+    starts = [i for i in range(size) if i == 0 or ks[i] != ks[i - 1]]
+    ends = starts[1:] + [size]
+    spans = [(s, e, min(hs[s:e]), max(hs[s:e])) for s, e in zip(starts, ends)]
+    ties = [span for span in spans if span[3] > span[2]]
+    # later[i]: the first row past row i's group; suffix_min[j]: min H over j..
+    later = [e for s, e in zip(starts, ends) for _ in range(s, e)]
+    suffix_min = [*itertools.accumulate(reversed(hs), min)][::-1] + [math.inf]
+    heads = [i for i in range(size) if hs[i] >= suffix_min[later[i]]]
+    count = len(ties) + sum(sum(h <= hs[i] for h in hs[later[i]:]) for i in heads)
+
+    def inversions(i):
+        return [j for j in range(later[i], size) if hs[j] <= hs[i]]
+
+    return ties, heads, count, inversions
+
+
+def _array_order(ks, hs):
+    """``_pure_order`` by numpy: a reduction per group, one suffix minimum,
+    and a ``count_nonzero`` and a ``flatnonzero`` per head."""
     import numpy as np
 
-    xs, ks, hs = zip(*rows)
     h = np.array(hs)
     starts = np.flatnonzero(np.r_[True, np.diff(ks) != 0])
-    ends = np.r_[starts[1:], len(rows)]
+    ends = np.r_[starts[1:], len(hs)]
     lo = np.minimum.reduceat(h, starts).tolist()
     hi = np.maximum.reduceat(h, starts).tolist()
     ties = [
@@ -399,20 +468,11 @@ def _ordering_violations(rows) -> list[dict]:
     suffix_min = np.r_[np.minimum.accumulate(h[::-1])[::-1], np.inf]
     heads = np.flatnonzero(h >= suffix_min[later]).tolist()
     count = len(ties) + sum(int(np.count_nonzero(h[later[i]:] <= h[i])) for i in heads)
-    core.charge(f"listing the {count} findings of the entropy ordering of {len(rows)} patterns",
-                count * _FINDING_BYTES, f"{_FINDING_BYTES} per finding")
-    violations = [
-        dict(kind="tie-mismatch", kappa2=ks[s], patterns=list(xs[s:e]), H_spread=b - a)
-        for s, e, a, b in ties
-    ]
-    for i in heads:
-        first = later[i]
-        for j in (first + np.flatnonzero(h[first:] <= h[i])).tolist():
-            violations.append(dict(
-                kind="ordering", pattern_high=xs[i], pattern_low=xs[j],
-                kappa2_high=ks[i], kappa2_low=ks[j], H_high=hs[i], H_low=hs[j],
-            ))
-    return violations
+
+    def inversions(i):
+        return (later[i] + np.flatnonzero(h[later[i]:] <= h[i])).tolist()
+
+    return ties, heads, count, inversions
 
 
 def check_entropy_min(
@@ -438,6 +498,7 @@ def check_entropy_min(
         ends = n_values = list(n_values)
     core.check_enumeration(max(ends, default=0), m, guard)
     core.check_lengths(m, min(ends, default=None))
+    _settle_entropy_form(m, n_values)
     results = []
     for n in n_values:
         rows = _entropy_rows(n, m, guard)

@@ -7,6 +7,7 @@ package's dynamic programs, so agreement is meaningful.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -215,3 +216,23 @@ def per_class_central_moments(counts: dict) -> tuple:
         sum((Fraction(w) - mean) ** r * c for w, c in counts.items()) / total
         for r in (2, 3, 4)
     )
+
+
+def exact_form_cases() -> list:
+    """The (x, n) on which the two forms of an exact enumeration are held to
+    each other: every pattern with m <= 4 at n <= 12, seeded random patterns
+    with m <= 10 at n <= 16, and constant and alternating patterns and
+    m = n at n = 16."""
+    cases = [
+        ("".join(p), n)
+        for m in range(1, 5)
+        for p in itertools.product("01", repeat=m)
+        for n in range(m, 13)
+    ]
+    rng = random.Random(27)
+    for _ in range(30):
+        m = rng.randint(1, 10)
+        cases.append(("".join(rng.choice("01") for _ in range(m)), rng.randint(m, 16)))
+    cases += [(x, 16) for x in ("0" * 8, "1" * 3, "01" * 4, "10101", "0110100110010110")]
+    return cases
+

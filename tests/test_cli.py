@@ -792,3 +792,123 @@ def test_table_bytes(capsys, argv, fmt, full):
     want = _reference_text(fmt, full, *table)
     assert code == (table[4] if len(table) > 4 else 0)
     assert out == want
+
+
+def _format_chunks(args, header, blocks):
+    """The per-row ``str.format`` rendering ``_row_chunks`` replaced by one
+    ``%`` format per block: the same template in ``{}`` cells."""
+    as_csv, template = args.format == "csv", None
+    for rows in blocks:
+        if template is None:
+            floats = [isinstance(v, float) for v in rows[0]]
+            rounded = not (as_csv or args.full_precision) and any(floats)
+            if as_csv:
+                yield ",".join(header) + "\n"
+                cell = "{}" if args.full_precision else "{:.4f}"
+                template = ",".join(cell if f else "{}" for f in floats) + "\n"
+            else:
+                template = "{{%s}}\n" % ", ".join(
+                    f'"{h}": "{{}}"' if isinstance(v, str) else f'"{h}": {{}}'
+                    for h, v in zip(header, rows[0])
+                )
+        if rounded:
+            rows = [[round(v, 4) if f else v for v, f in zip(row, floats)] for row in rows]
+        yield "".join(template.format(*row) for row in rows)
+
+
+def test_block_format_matches_row_format():
+    import argparse
+
+    import numpy as np
+
+    blocks = [
+        [("0110", 7, 1.23456789, np.int64(12), np.float64(2.5) / 3, "exact")],
+        [("1", -3, float("inf"), np.int64(-1), np.float64(1e-9), "sampled"),
+         ("10", 0, 2.0, np.int64(2**62), np.float64(float("-inf")), "")],
+        [],
+        [("111", 10**30, 1 / 3, np.int64(0), np.float64(123456.78915), "a b")],
+    ]
+    header = ["y", "omega", "H", "count", "ratio", "mode"]
+    for fmt, full in ((f, p) for f in ("csv", "json") for p in (False, True)):
+        args = argparse.Namespace(format=fmt, full_precision=full)
+        want = list(_format_chunks(args, header, blocks))
+        assert list(cli._row_chunks(args, header, blocks)) == want, (fmt, full)
+    # a '%' in a header name is escaped, not read as a conversion
+    args = argparse.Namespace(format="json", full_precision=False)
+    assert list(cli._row_chunks(args, ["p%s", "x"], [[("a", 1.0)]])) == ['{"p%s": "a", "x": 1.0}\n']
+    # the sampled histogram renders its 100,000 rows as one block
+    rows = list(sample_histogram("01101001", 200, 10**5, 3).counts.items())
+    args = argparse.Namespace(format="csv", full_precision=False)
+    assert list(cli._row_chunks(args, ["omega", "count"], [rows])) == list(
+        _format_chunks(args, ["omega", "count"], [rows])
+    )
+
+
+def _failing_write(dest, first="head\n"):
+    import argparse
+
+    def chunks():
+        yield first
+        yield "more\n"
+        raise RuntimeError("chunk failed")
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        cli._write(argparse.Namespace(out=str(dest)), chunks())
+
+
+def test_out_failure_keeps_an_existing_file(tmp_path):
+    dest = tmp_path / "kept.csv"
+    dest.write_text("old bytes\n")
+    os.chmod(dest, 0o640)
+    _failing_write(dest)
+    assert dest.read_text() == "old bytes\n"
+    assert (dest.stat().st_mode & 0o777) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.csv"]
+
+
+def test_out_failure_leaves_no_new_file(tmp_path):
+    dest = tmp_path / "sub" / "new.csv"
+    _failing_write(dest)
+    assert list(dest.parent.iterdir()) == []
+
+
+def test_out_file_mode_and_replaced_mode(tmp_path, capsys):
+    # a new file gets what open("w") gives, 0o666 less the umask; a replaced
+    # file keeps its permissions, and a symlink keeps pointing at it
+    mask = os.umask(0o027)
+    try:
+        new = tmp_path / "new.csv"
+        assert run(capsys, "kappa", "0", "--out", str(new))[0] == 0
+        reference = tmp_path / "reference"
+        reference.open("w").close()
+        assert new.stat().st_mode & 0o777 == reference.stat().st_mode & 0o777 == 0o640
+    finally:
+        os.umask(mask)
+    old = tmp_path / "old.csv"
+    old.write_text("x\n")
+    os.chmod(old, 0o600)
+    link = tmp_path / "link.csv"
+    link.symlink_to(old)
+    assert run(capsys, "kappa", "01", "--out", str(link))[0] == 0
+    assert link.is_symlink() and old.read_text() == "pattern,kappa2\n01,4\n"
+    assert old.stat().st_mode & 0o777 == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "link.csv", "new.csv", "old.csv", "reference",
+    ]
+
+
+def test_out_dev_null_written_in_place(capsys):
+    assert run(capsys, "kappa", "0110", "--out", os.devnull) == (0, "", "")
+    import stat
+
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+def test_repro_files_unchanged_through_out(tmp_path, capsys):
+    # repro writes its 13 files through the same temporary-file path
+    code, out, _ = run(capsys, "repro", "--out", str(tmp_path))
+    assert code == 0 and out.count("ok ") == 13
+    expected = resources.files("delentropy").joinpath("repro_expected")
+    for path in tmp_path.iterdir():
+        assert path.read_text() == expected.joinpath(path.name).read_text()
+    assert len(list(tmp_path.iterdir())) == 13

@@ -207,3 +207,13 @@ def test_every_cost_refusal_has_one_shape(monkeypatch):
             assert (int(got[1]), int(got[4])) == (cost, cost - 1), site
             patch.setattr(module, name, cost)
             call()
+
+
+def test_orbit_count_is_the_number_of_representatives():
+    from delentropy import core
+
+    for m in range(1, 13):
+        reps = {core.orbit_representative(x) for x in core.all_bitstrings(m)}
+        assert core.orbit_count(m) == len(reps), m
+    with pytest.raises(ValueError):
+        core.orbit_count(0)

@@ -515,7 +515,7 @@ def test_sample_groups_are_the_charged_groups(monkeypatch):
             assert group == sample_size or group % block == 0
             sizes.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(distribution.np, "unique", recording_unique)
+                patch.setattr(np, "unique", recording_unique)
                 sample_histogram("0110", 20, sample_size, seed=3)
             full, rest = divmod(sample_size, group)
             assert sizes == [group] * full + [rest] * (rest > 0), (pairs, sample_size)
@@ -526,3 +526,82 @@ def test_sample_histogram_validation():
         sample_histogram("01", 10, 0, seed=1)
     with pytest.raises(ValueError):
         sample_histogram("01", 1, 10, seed=1)
+
+
+def test_pure_tally_matches_array_tally():
+    # the same weights with the same counts in the same ascending order
+    for x, n in oracles.exact_form_cases():
+        want = list(distribution._array_tally(x, n, None).items())
+        assert list(distribution._pure_tally(x, n).items()) == want, (x, n)
+    # weights past 2^16 take wider fields in the packed dot products
+    x = "0110100110"
+    assert core.binomial(20, len(x)) >= 1 << 16
+    assert distribution._pure_tally(x, 20) == distribution._array_tally(x, 20, None)
+
+
+def test_exact_form_chosen_by_numpy_and_size(monkeypatch):
+    import sys
+
+    from delentropy import embedding, extremal
+
+    # with numpy loaded every histogram and posterior takes the array form
+    def refuse(*args):
+        raise AssertionError("pure form run with numpy loaded")
+
+    want = exact_histogram("0110", 10).counts
+    rows = list(embedding.uncertainty_set("011", 9))
+    monkeypatch.setattr(distribution, "_pure_tally", refuse)
+    monkeypatch.setattr(embedding, "_pure_rows", refuse)
+    assert "numpy" in sys.modules and exact_histogram("0110", 10).counts == want
+    assert list(embedding.uncertainty_set("011", 9)) == rows
+    assert extremal.ordering_table(6, 3).ordering_ok
+    monkeypatch.undo()
+    # before numpy loads, the pure form up to _PURE_TEXTS texts, above it
+    # the array form; both are replaced here, and so is the loading of
+    # numpy, which puts this process's module back, so numpy is not
+    # imported again
+    real = sys.modules["numpy"]
+    monkeypatch.delitem(sys.modules, "numpy")
+    forms = []
+    monkeypatch.setattr(distribution, "_pure_tally",
+                        lambda x, n: forms.append(("pure", n)) or {1: 1})
+    monkeypatch.setattr(distribution, "_array_tally",
+                        lambda x, n, guard: forms.append(("array", n)) or {1: 1})
+    monkeypatch.setattr(embedding, "_pure_rows", lambda x, n: iter([(["pure"], [n])]))
+    monkeypatch.setattr(embedding, "_array_rows", lambda x, n, guard: iter([(["array"], [n])]))
+    monkeypatch.setattr(embedding, "_load_numpy",
+                        lambda: sys.modules.__setitem__("numpy", real))
+    assert embedding._PURE_TEXTS == 1 << 16
+    for n, form in ((1, "pure"), (16, "pure"), (17, "array")):
+        forms.clear()
+        assert exact_histogram("0", n).counts == {1: 1}
+        assert forms == [(form, n)]
+        assert list(embedding.uncertainty_blocks("0", n)) == [([form], [n])]
+    assert "numpy" not in sys.modules
+    # a loop decides once, on its total: 6 orbits of 4-bit patterns at
+    # n = 13 are 49,152 texts, pure; at n = 14, 98,304 texts, so numpy is
+    # loaded and every histogram takes the array form, though each alone
+    # is within the bound
+    forms.clear()
+    extremal._entropy_rows(13, 4, None)
+    assert forms == [("pure", 13)] * 6 and "numpy" not in sys.modules
+    forms.clear()
+    extremal._entropy_rows(14, 4, None)
+    assert forms == [("array", 14)] * 6 and sys.modules["numpy"] is real
+    # so does a range of n, on the sum over its n
+    monkeypatch.delitem(sys.modules, "numpy")
+    forms.clear()
+    extremal.check_entropy_min(4, range(8, 13))  # 47,616 texts
+    assert {f for f, _ in forms} == {"pure"} and len(forms) == 30
+    forms.clear()
+    extremal.check_entropy_min(4, range(8, 14))  # 96,768 texts
+    assert {f for f, _ in forms} == {"array"} and len(forms) == 36
+    monkeypatch.delitem(sys.modules, "numpy")
+    # the length, guard and byte refusals come first, whatever the form
+    for x, n, error in (("0110", 3, ValueError), ("01", 31, CapacityError),
+                        ("012", 5, ValueError), ("0", 63, CapacityError)):
+        with pytest.raises(error):
+            exact_histogram(x, n, guard=100 if n == 63 else None)
+        with pytest.raises(error):
+            next(embedding.uncertainty_blocks(x, n, guard=100 if n == 63 else None))
+    assert "numpy" not in sys.modules

@@ -402,3 +402,39 @@ def test_half_tables_costed_at_their_peak(monkeypatch):
     embedding._validate("0", 46, 100)
     with pytest.raises(CapacityError, match="1132462080 bytes"):
         embedding._validate("0", 47, 100)
+
+
+def _block_rows(blocks):
+    return [row for texts, weights in blocks for row in zip(texts, weights)]
+
+
+def test_pure_rows_match_array_rows():
+    # the same rows in the same (lexicographic) order, cases as for the
+    # exact histogram; the pure form yields one block per half u with any
+    # nonzero weight, and no empty block
+    from delentropy import embedding
+
+    for x, n in oracles.exact_form_cases() + [("1" * 16, 16), ("0" * 12, 16), ("0" * 13 + "1", 16)]:
+        blocks = list(embedding._pure_rows(x, n))
+        assert all(texts for texts, _ in blocks), (x, n)
+        assert _block_rows(blocks) == _block_rows(embedding._array_rows(x, n, None)), (x, n)
+    # constant patterns skip every all-zero block: 1^12 at n = 16 needs 4
+    # ones in the 8-bit half u, 1^16 all 16
+    heads = [texts[0][:8] for texts, _ in embedding._pure_rows("1" * 12, 16)]
+    assert heads == [format(u, "08b") for u in range(256) if format(u, "b").count("1") >= 4]
+    assert list(embedding._pure_rows("1" * 16, 16)) == [(["1" * 16], [1])]
+    # n = 1 leaves u empty
+    assert list(embedding._pure_rows("1", 1)) == [(["1"], [1])]
+
+
+def test_dot_rows_fields_hold_their_bound():
+    # each narrowest item type, up to 64-bit fields
+    from delentropy import embedding
+
+    rng = random.Random(5)
+    for top in (255, 256, 2**16, 2**32 - 1, 2**40, 2**63 - 1):
+        rows = [tuple(rng.randrange(1 + top // 8) for _ in range(3)) for _ in range(50)]
+        c = (1, 2, 5)
+        want = [sum(a * b for a, b in zip(c, s)) for s in rows]
+        assert max(want) <= top and embedding._dot_rows(rows, top)(c) == want, top
+        assert embedding._dot_rows(rows, top)((0, 0, 0)) == [0] * 50

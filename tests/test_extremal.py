@@ -504,3 +504,54 @@ def test_entropy_min_degenerate_all_tie():
     assert res.value == 0.0
     assert len(res.witnesses) == 8  # every pattern ties at zero entropy
     assert res.finding is not None  # reported, not asserted
+
+
+def test_pure_order_matches_array_order(monkeypatch):
+    # the two forms give the same groups, heads, count and inversions, and
+    # so the same findings in the same order and the same charge, on the
+    # table rows of every m <= 8 and on the random and edge rows above
+    rng = np.random.default_rng(27)
+    cases = [ordering_table(n, m).rows for m in range(1, 9) for n in (m, m + 2, m + 4)]
+    for _ in range(100):
+        size = int(rng.integers(1, 48))
+        patterns = [format(int(v), "06b") for v in rng.permutation(64)[:size]]
+        kappas = rng.integers(0, int(rng.integers(1, 8)), size).tolist()
+        hs = rng.choice([0.0, 0.25, 0.5, 1.0, 2.5], size).tolist()
+        cases.append(_ranked(zip(patterns, kappas, hs)))
+    cases += [[("a", 9, 1.0), ("b", 8, 1.0), ("c", 7, 1.0)], [("a", 4, 1.0), ("b", 4, 2.0)]]
+    want = []
+    for rows in cases:
+        _, ks, hs = zip(*rows)
+        pure, array = extremal._pure_order(ks, hs), extremal._array_order(ks, hs)
+        assert pure[:3] == array[:3], rows
+        assert [pure[3](i) for i in pure[1]] == [array[3](i) for i in array[1]], rows
+        want.append(extremal._ordering_violations(rows))
+    monkeypatch.setattr(extremal, "_array_order", extremal._pure_order)
+    for rows, findings in zip(cases, want):
+        assert extremal._ordering_violations(rows) == findings
+        if findings:
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "MAX_BYTES", len(findings) * extremal._FINDING_BYTES - 1)
+                with pytest.raises(CapacityError, match=f" {len(findings)} findings"):
+                    extremal._ordering_violations(rows)
+
+
+def test_order_form_chosen_by_numpy_and_size(monkeypatch):
+    import sys
+
+    # before numpy loads, tables of up to _PURE_ORDER_ROWS rows take the
+    # pure form and larger ones the array form, replaced here so numpy is
+    # not imported again; with numpy loaded, every table takes the array
+    # form, as every other test here shows
+    def array_order(ks, hs):
+        raise LookupError("array form")
+
+    rows = ordering_table(8, 5).rows
+    want = extremal._ordering_violations(rows)
+    monkeypatch.delitem(sys.modules, "numpy")
+    monkeypatch.setattr(extremal, "_array_order", array_order)
+    assert extremal._PURE_ORDER_ROWS == 1 << 8
+    assert extremal._ordering_violations(rows) == want
+    assert extremal._ordering_violations(_ranked(rows * 8))  # 256 rows
+    with pytest.raises(LookupError, match="array form"):
+        extremal._ordering_violations(_ranked(rows * 8 + rows[:1]))

@@ -1,6 +1,7 @@
 """Cold start: ``import delentropy`` loads no submodule, its public names
 resolve on first use, and the closed-form subcommands, small moment
-tensors and small kappa2 scans never import numpy."""
+tensors, small kappa2 scans and small exact enumerations never import
+numpy."""
 
 import subprocess
 import sys
@@ -67,9 +68,18 @@ def test_import_loads_no_submodule_and_no_numpy():
         (["kappa", "--all", "0"], 2),
         (["kappa", "--all", "31"], 3),
         (["extremal", "--criterion", "kappa-max", "31"], 3),
+        # and so do exact enumerations of at most 2^16 texts, whose bytes
+        # here come from the array forms; table 10 6 finds inversions
+        (["table", "10", "6"], 4),
+        (["hist", "01101001", "16"], 0),
+        (["posterior", "011", "16"], 0),
+        (["entropy", "01101001", "16"], 0),
+        (["extremal", "--criterion", "entropy-min", "4", "--n-range", "8..12"], 0),
+        (["repro", "--out", "{tmp}"], 0),
     ],
 )
-def test_closed_form_commands_never_import_numpy(argv, want, capsys):
+def test_closed_form_commands_never_import_numpy(argv, want, capsys, tmp_path):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     code, out, err = _child(
         "from delentropy.cli import main\n"
         "code = main(sys.argv[1:])\n"
@@ -94,6 +104,18 @@ def test_large_moment_tensor_imports_numpy(capsys):
     assert code == 0
     assert "'numpy'" in err.splitlines()[-1]
     assert main(argv) == 0 and capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize(
+    "argv", [["hist", "01101001", "17"], ["posterior", "011", "17"], ["table", "12", "6"]]
+)
+def test_large_enumeration_imports_numpy(argv, capsys):
+    # 2^17 texts, or 20 orbits of 2^12 texts, above the pure forms
+    code, out, err = _child(f"from delentropy.cli import main\nmain(sys.argv[1:])\n{_LOADED}", *argv)
+    assert code == 0
+    assert "'numpy'" in err.splitlines()[-1]
+    main(argv)
+    assert capsys.readouterr().out == out
 
 
 def test_large_kappa_scan_imports_numpy(capsys):
