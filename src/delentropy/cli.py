@@ -27,7 +27,8 @@ The capacity bounds behind exit 3:
   formed; and an interleaving table longer than 64, which ``kappa`` builds
   per call; a range of n is checked on its largest n before any work;
 * m <= 30 for the kappa2 scans and ``kappa --all``;
-* m <= 16 for ``table``, which ranks all 2^m patterns;
+* m <= 16 for ``table`` and ``extremal --criterion entropy-min``, which
+  form entropies over all 2^m patterns (``extremal._ENTROPY_M_MAX``);
 * 2^27 cell-steps for an exact moment tensor (``moments``, ``gaussian``,
   ``entropy --mode estimate``); a ``gaussian`` range is costed before any
   work as one tensor pass plus 4 * min(n, 4m) products per n when the full
@@ -43,20 +44,22 @@ function, and ``import delentropy`` loads none, so a process pays only for
 what it runs.  ``moments --mode asymptotic``, ``kappa PATTERN`` (with or
 without ``--decomposition``) and the guard, length and byte refusals of
 exact ``hist`` and of ``posterior`` never import numpy: they are exact-int
-closed forms and checks.  Nor do exact ``moments``, ``gaussian`` and
-``entropy --mode estimate|renyi2`` when their moment tensor pass takes at
-most 2^17 cell-steps (``moments._PURE_CELL_STEPS``): such a pass runs in
-pure Python, faster than the numpy import alone.  Nor do ``extremal
---criterion kappa-min|kappa-max M`` and ``kappa --all M`` for M <= 17
-(2^M <= ``extremal._PURE_PATTERNS`` patterns), whose kappa2 scan then runs
-over Python ints, or their m <= 30 refusal.  Nor do exact ``hist``,
-``posterior``, ``entropy`` and ``entropy --mode min`` at n <= 16, nor
-``table N M`` and ``extremal --criterion entropy-min M --n-range A..B``
-whose histograms, one per symmetry orbit of the 2^M patterns and per n,
-cover at most 2^16 texts in all (``embedding._PURE_TEXTS``), nor
-``repro``: their exact enumerations run over Python ints.  Every other
-subcommand, a larger tensor, scan or enumeration, and every sampled
-``hist`` build arrays and load it.
+closed forms and checks.  A kernel with a pure-Python form takes it only
+while numpy is not loaded and its job is within a bound, where it costs
+less than the numpy import alone (``core.before_numpy``).  Each job
+chooses once, on all its work, before its first kernel, so none pays for
+both forms: the tensor pass of exact ``moments``, ``gaussian`` (one pass
+for a range) and ``entropy --mode estimate|renyi2`` up to
+``moments._PURE_CELL_STEPS`` cell-steps; the kappa2 scan of ``extremal
+--criterion kappa-min|kappa-max`` and ``kappa --all`` up to
+``extremal._PURE_PATTERNS`` patterns; and the exact enumerations of
+``hist``, ``posterior``, ``entropy``, ``table``, ``extremal --criterion
+entropy-min`` and ``repro`` up to ``embedding._PURE_TEXTS`` texts in all
+(``embedding._pure_enumeration``, which loads numpy when it picks the
+array form).  An exact ``hist`` range counts the sum of its 2^n; a table
+or an entropy minimum one histogram of 2^n texts per symmetry orbit of
+the 2^M patterns and per n, and a table's kappa2 scan and findings follow
+its histograms.  Every sampled ``hist`` builds arrays and loads numpy.
 """
 
 from __future__ import annotations
@@ -278,15 +281,18 @@ def _cmd_hist(args) -> int:
         raise ValueError("--sample and --seed go together")
     if len(ns) > 1 and args.out is None:
         raise ValueError("an n range needs --out DIR (one file per n)")
-    # exact work is refused before numpy loads: a range on its largest n
-    # before the first file, a single n as exact_histogram checks it
+    # exact work is refused before the histogram modules load: a range on
+    # its largest n, then its first n as exact_histogram checks it
     if args.sample is None:
-        if len(ns) == 1:
-            core.check_lengths(len(x), ns[0])
-        core.check_enumeration(ns[-1], len(x), args.guard)
-    from . import distribution
+        if len(ns) > 1:
+            core.check_enumeration(ns[-1], len(x), args.guard)
+        core.check_lengths(len(x), ns[0])
+        core.check_enumeration(ns[0], len(x), args.guard)
+    from . import distribution, embedding
 
-    if args.sample is not None and len(ns) > 1:
+    if args.sample is None:  # one form for all the texts of the command
+        embedding._pure_enumeration(sum(1 << n for n in ns))
+    elif len(ns) > 1:
         distribution.check_sample_block(ns[-1], len(x), args.sample)
     ext = "csv" if args.format == "csv" else "json"
     for n in ns:

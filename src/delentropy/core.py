@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 import sys
 
 # Operations that walk all 2^n texts refuse larger n unless the caller
@@ -59,6 +60,17 @@ def before_numpy(cost: int, bound: int) -> bool:
     array form is the faster one at every size.
     """
     return "numpy" not in sys.modules and cost <= bound
+
+
+def _pack_fields(vectors: list, top: int) -> tuple[tuple[int, ...], struct.Struct]:
+    """(ints, fields): each vector as one int whose field j holds entry j,
+    little-endian, in the narrowest unsigned ``struct`` type that holds
+    ``top``, and the ``struct.Struct`` that reads the bytes of such an int
+    back into its fields.  A sum of multiples of the ints reads back
+    exactly while its fields stay within top, since they never carry."""
+    code = next(c for c in "BHIQ" if top >> 8 * struct.calcsize("<" + c) == 0)
+    fields = struct.Struct(f"<{len(vectors[0])}{code}")
+    return tuple(int.from_bytes(fields.pack(*v), "little") for v in vectors), fields
 
 
 def validate_pattern(x: str) -> str:

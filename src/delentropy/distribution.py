@@ -17,9 +17,9 @@ same order: ``_array_tally`` over the numpy half tables and ``_pure_tally``
 over the same half counts as tuples of Python ints.  2^n texts take the
 pure form while numpy is not loaded and 2^n <= ``embedding._PURE_TEXTS``
 (``embedding._pure_enumeration``), where it costs less than the numpy
-import alone; a loop of histograms settles its form once, on its total
-(``embedding._settle_form``).  numpy is imported only inside the functions
-that build arrays, which the sampled histogram always does.
+import alone; a job of many histograms asks the same chooser once, on its
+total, before its first histogram.  numpy is imported only inside the
+functions that build arrays, which the sampled histogram always does.
 """
 
 from __future__ import annotations

@@ -8,19 +8,17 @@ is C(n, m) * 2^(n-m).
 
 The posterior rows have one rule in two forms, with the same rows in the
 same order: the half tables of ``_half_tables``, int64 numpy arrays, and
-``_pure_rows``, the same half-count vectors as tuples of Python ints.  An
-enumeration of at most ``_PURE_TEXTS`` texts takes the pure form while
-numpy is not loaded (``_pure_enumeration``, by ``core.before_numpy``),
-where it costs less than the numpy import alone; the exact histogram of
-``distribution`` follows the same rule.  numpy is imported only inside the
-functions that build arrays, so a small cold enumeration never loads it.
+``_pure_rows``, the same half-count vectors as tuples of Python ints.
+``_pure_enumeration`` chooses the form of every exact enumeration job once:
+at most ``_PURE_TEXTS`` texts in all take the pure form while numpy is not
+loaded, where it costs less than the numpy import alone.  numpy is
+imported only inside the functions that build arrays, so a small cold
+enumeration never loads it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
@@ -229,24 +227,15 @@ def _suffix_vectors(x: str, k: int) -> list[tuple[int, ...]]:
     return [c[::-1] for c in vecs]
 
 
-def _dot_rows(rows: list[tuple[int, ...]], top: int) -> Callable[[tuple[int, ...]], list[int]]:
-    """A function of a vector c returning [c . s for s in rows], each dot
-    product a nonnegative int at most ``top``.
-
-    Column i of rows is packed into one int, entry j in field j of the
-    narrowest ``array`` item that holds top.  A call is then at most m + 1
-    products of a small int and a packed column, whose fields never carry,
-    and the fields are read back through one ``array`` of the sum's bytes.
+def _dot_rows(rows: list[tuple[int, ...]], top: int) -> Callable[[tuple[int, ...]], tuple]:
+    """A function of a vector c returning the tuple of c . s for s in rows,
+    each a nonnegative int at most ``top``.  Column i of rows is one int of
+    ``core._pack_fields``, so a call is at most m + 1 products of a small
+    int and a packed column, read back by one ``struct``.
     """
-    code = next(c for c in "BHILQ" if top >> 8 * array(c).itemsize == 0)
-    size, order = array(code).itemsize * len(rows), sys.byteorder
-    cols = [int.from_bytes(array(code, col).tobytes(), order) for col in zip(*rows)]
-
-    def dots(c):
-        packed = sum(ci * col for ci, col in zip(c, cols) if ci)
-        return array(code, packed.to_bytes(size, order)).tolist()
-
-    return dots
+    cols, fields = core._pack_fields(list(zip(*rows)), top)
+    return lambda c: fields.unpack(
+        sum(ci * col for ci, col in zip(c, cols) if ci).to_bytes(fields.size, "little"))
 
 
 def total_masks(n: int, m: int) -> int:
@@ -332,20 +321,15 @@ def _support_size(n: int, m: int) -> int:
 
 
 def _pure_enumeration(texts: int) -> bool:
-    """Whether an exact enumeration costed at ``texts`` texts runs over
+    """Whether an exact enumeration job of ``texts`` texts in all runs over
     Python ints: only before numpy loads, up to _PURE_TEXTS texts
-    (``core.before_numpy``)."""
-    return core.before_numpy(texts, _PURE_TEXTS)
-
-
-def _settle_form(texts: int) -> None:
-    """Settle the form of a loop of enumerations of ``texts`` texts in all
-    at once: if the pure form would not take the total, load numpy, so each
-    enumeration of the loop takes the array form.  Otherwise each one is
-    within the total and takes the pure form, and the loop never pays for
-    both forms."""
-    if not _pure_enumeration(texts):
+    (``core.before_numpy``); otherwise numpy is loaded here.  A job asks
+    once, on its total, before its first kernel, and each kernel asking on
+    its own texts then gets the same answer: no job pays for both forms."""
+    pure = core.before_numpy(texts, _PURE_TEXTS)
+    if not pure:
         _load_numpy()
+    return pure
 
 
 def _load_numpy() -> None:

@@ -14,10 +14,10 @@ loaded and 2^m <= _PURE_PATTERNS (``core.before_numpy``), where it costs
 less than the numpy import alone, and ``kappa_blocks`` otherwise.  numpy
 is imported only inside the functions that build arrays, and
 ``embedding`` only inside those and the entropy jobs, so a small cold
-scan loads neither.  The findings of the ordering
-table have two forms in the same way, ``_pure_order`` and
-``_array_order``; the entropy rows take the forms of the exact histogram,
-settled once per table or range of n (``_settle_entropy_form``).
+scan loads neither.  The ordering findings have two forms in the same
+way, ``_pure_order`` and ``_array_order``.  A table or an entropy minimum
+chooses its form once, on all its histograms' texts, before its first
+kernel (``embedding._pure_enumeration``), and all its kernels follow.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -58,11 +59,10 @@ _KAPPA_BLOCK = 1 << 13
 # keeps a margin below both crossovers.
 _PURE_PATTERNS = 1 << 17
 
-# Rows up to which the findings of an ordering table are listed over
-# Python lists while numpy is not loaded: 2^8, the most patterns of a table
-# whose entropy rows run in pure Python (orbit_count(m) << n <= 2^16 holds
-# up to m = n = 8).
-_PURE_ORDER_ROWS = 1 << 8
+# Pattern lengths up to which ``ordering_table`` and ``check_entropy_min``
+# run: each forms one exact histogram per symmetry orbit of the 2^m
+# patterns and n, 16,512 of them at m = 16 and 4,196,352 at m = 24.
+_ENTROPY_M_MAX = 16
 
 # Bytes one ordering finding costs while the list of findings is built: its
 # dict and its list slot, 281 B held and at most 281.22 B at the peak per
@@ -350,24 +350,13 @@ def search_kappa_min(m: int, *, workers: int = 1) -> ExtremalResult:
     )
 
 
-def _settle_entropy_form(m: int, ns) -> None:
-    """Settle once the form of the histograms behind the entropy rows of
-    all 2^m patterns at every n of ns: one histogram of 2^n texts per orbit
-    and n (``core.orbit_count``), costed on that total by
-    ``embedding._settle_form``."""
-    from .embedding import _settle_form
-
-    _settle_form(core.orbit_count(m) * sum(1 << n for n in ns))
-
-
 def _entropy_rows(n: int, m: int, guard: int | None) -> list[tuple[str, float]]:
     """(x, Shannon bits) for all 2^m patterns in lexicographic order, one
     exact histogram per symmetry orbit: complement and reversal leave the
-    histogram, and so the bits, unchanged.  The histograms take one form,
-    settled on their total (``_settle_entropy_form``)."""
+    histogram, and so the bits, unchanged.  The histograms take the form
+    their job chose (``embedding._pure_enumeration``)."""
     from .entropy import shannon_entropy
 
-    _settle_entropy_form(m, [n])
     return core.per_orbit(m, lambda x: shannon_entropy(x, n, guard=guard))
 
 
@@ -380,12 +369,17 @@ def ordering_table(
     smaller; equal-kappa classes must agree in entropy exactly, which
     decides ties exactly: equal histograms give bit-identical entropies.
     Failures land in ``violations``.  The lengths, the guard and the byte
-    bound of the half tables are checked before the kappa2 scan.
+    bound of the half tables are checked, and the form chosen on the
+    histograms' texts, before the kappa2 scan.
     """
-    if m > 16:
-        raise core.CapacityError(f"ordering table over 2^{m} patterns refused: m <= 16")
+    from .embedding import _pure_enumeration
+
+    if m > _ENTROPY_M_MAX:
+        raise core.CapacityError(f"ordering table over 2^{m} patterns refused: "
+                                 f"m <= {_ENTROPY_M_MAX}")
     core.check_lengths(m, n)
     core.check_enumeration(n, m, guard)
+    _pure_enumeration(core.orbit_count(m) << n)
     scan = [row for rows in kappa_rows(m) for row in rows]
     rows = sorted(
         ((x, kappa, h) for (x, kappa), (_, h) in zip(scan, _entropy_rows(n, m, guard))),
@@ -404,12 +398,12 @@ def _ordering_violations(rows) -> list[dict]:
     findings are counted exactly and charged ``_FINDING_BYTES`` each
     (``core.charge``) before any is formed: near n = m their number
     approaches 2^(2m-1).  The groups, heads and inversions come from
-    ``_pure_order`` for at most _PURE_ORDER_ROWS rows while numpy is not
-    loaded (``core.before_numpy``), and from ``_array_order`` otherwise,
-    whose per-head ``flatnonzero`` keeps ``table 16 16`` fast.
+    ``_pure_order`` while numpy is not loaded, that is when the table's
+    enumeration ran pure, and from ``_array_order`` otherwise, whose
+    per-head ``flatnonzero`` keeps ``table 16 16`` fast.
     """
     xs, ks, hs = zip(*rows)
-    pure = core.before_numpy(len(rows), _PURE_ORDER_ROWS)
+    pure = "numpy" not in sys.modules
     ties, heads, count, inversions = (_pure_order if pure else _array_order)(ks, hs)
     core.charge(f"listing the {count} findings of the entropy ordering of {len(rows)} patterns",
                 count * _FINDING_BYTES, f"{_FINDING_BYTES} per finding")
@@ -487,10 +481,13 @@ def check_entropy_min(
     The constant patterns are predicted to minimize for large n; each result
     records whether they do at this n (deviations surface as findings).
     The guard and the byte bound of the half tables are checked on the
-    largest n, then the lengths on the smallest, before any entropy is
-    computed; a range is not materialized for them, since its extremes are
-    its ends.
+    largest n, then the lengths on the smallest, then m, and the form is
+    chosen on all the histograms' texts, before any entropy is computed; a
+    range is not materialized for the checks, since its extremes are its
+    ends.
     """
+    from .embedding import _pure_enumeration
+
     core.check_lengths(m)
     if isinstance(n_values, range):
         ends = [n_values[0], n_values[-1]] if n_values else []
@@ -498,7 +495,10 @@ def check_entropy_min(
         ends = n_values = list(n_values)
     core.check_enumeration(max(ends, default=0), m, guard)
     core.check_lengths(m, min(ends, default=None))
-    _settle_entropy_form(m, n_values)
+    if m > _ENTROPY_M_MAX:
+        raise core.CapacityError(f"entropy minimum over 2^{m} patterns refused: "
+                                 f"m <= {_ENTROPY_M_MAX}")
+    _pure_enumeration(core.orbit_count(m) * sum(1 << n for n in n_values))
     results = []
     for n in n_values:
         rows = _entropy_rows(n, m, guard)

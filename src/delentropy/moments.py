@@ -26,7 +26,6 @@ import functools
 import itertools
 import math
 import operator
-import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -348,22 +347,18 @@ def _interleaving_table(m: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-# Lengths whose interleaving rows ``kappa_squared`` packs into 64-bit fields:
-# a field holds a column sum of M over some of its rows, at most
+# Lengths whose interleaving rows ``kappa_squared`` packs into fields of at
+# most 64 bits: a field holds a column sum of M over some of its rows, at most
 # C(2m-1, m) (every column sums to it), and C(67, 34) < 2^64 <= C(69, 35).
 _PACKED_M = 34
 
 
 @functools.lru_cache(maxsize=_PACKED_M)
 def _packed_rows(m: int):
-    """(rows, unpack) for length m <= _PACKED_M: row r of the interleaving
-    table as one int whose 64-bit field s is M[r][s], and the unpacker of a
-    sum of such rows, as 8m little-endian bytes, into its m fields."""
-    rows = tuple(
-        int.from_bytes(b"".join(v.to_bytes(8, "little") for v in row), "little")
-        for row in _interleaving_table(m)
-    )
-    return rows, struct.Struct(f"<{m}Q").unpack
+    """(rows, fields) for length m <= _PACKED_M: the rows of the
+    interleaving table packed by ``core._pack_fields``, field s of row r
+    holding M[r][s], and the ``struct`` that reads a sum of such rows."""
+    return core._pack_fields(_interleaving_table(m), binomial(2 * m - 1, m))
 
 
 def _table_bytes(m: int) -> int:
@@ -413,7 +408,7 @@ def kappa_squared(x: str) -> int:
     marks the positions of the rarer symbol: at most m^2 / 4 terms, added
     in C loops over the rows and columns one ``itemgetter`` picks.  Up to
     m = _PACKED_M the picked rows of ``_packed_rows`` are summed as ints,
-    which adds all their columns at once in 64-bit fields, and the picked
+    which adds all their columns at once in packed fields, and the picked
     fields are then summed (200 patterns at m = 20..30, median of 200
     passes: 1.85 ms, against 2.51 ms over tuple rows and 2.68 ms for a
     generator of single entries).
@@ -427,9 +422,9 @@ def kappa_squared(x: str) -> int:
             binomial(2 * r, r) * binomial(2 * (m - r - 1), m - r - 1) for r in pos
         )
     elif m <= _PACKED_M:
-        rows, unpack = _packed_rows(m)
+        rows, fields = _packed_rows(m)
         pick = operator.itemgetter(*pos)
-        cross = sum(pick(unpack(sum(pick(rows)).to_bytes(8 * m, "little"))))
+        cross = sum(pick(fields.unpack(sum(pick(rows)).to_bytes(fields.size, "little"))))
     else:
         pick = operator.itemgetter(*pos)
         cross = sum(map(sum, map(pick, pick(_interleavings(m)))))

@@ -257,6 +257,36 @@ def test_huge_range_refused_at_once(tmp_path, capsys):
     assert peak < 1 << 20
 
 
+def test_hist_range_takes_one_form(tmp_path, capsys, monkeypatch):
+    # an exact range chooses its form once, on the sum of its 2^n, before
+    # its first file: 10..17 holds 260,096 texts, so numpy is loaded first
+    # and every n takes the array form; 5..15 holds 65,504, so every n is
+    # pure and numpy is never loaded.  Loading numpy puts this process's
+    # module back, so it is not imported again
+    from delentropy import embedding
+
+    for ns in ("10..17", "5..15"):
+        assert run(capsys, "hist", "0110", ns, "--out", str(tmp_path / "want"))[0] == 0
+    want = {path.name: path.read_text() for path in (tmp_path / "want").iterdir()}
+    real, forms = sys.modules["numpy"], []
+    monkeypatch.delitem(sys.modules, "numpy")
+    monkeypatch.setattr(embedding, "_load_numpy", lambda: sys.modules.__setitem__("numpy", real))
+
+    def recording(name):
+        tally = getattr(distribution, name)
+        return lambda x, n, *rest: forms.append((name, n)) or tally(x, n, *rest)
+
+    for name in ("_pure_tally", "_array_tally"):
+        monkeypatch.setattr(distribution, name, recording(name))
+    for ns, form, loaded in (("5..15", "_pure_tally", False), ("10..17", "_array_tally", True)):
+        forms.clear()
+        assert run(capsys, "hist", "0110", ns, "--out", str(tmp_path / "got"))[0] == 0
+        assert forms == [(form, n) for n in _parse_n_range(ns)]
+        assert ("numpy" in sys.modules) == loaded
+    got = {path.name: path.read_text() for path in (tmp_path / "got").iterdir()}
+    assert got == want and len(got) == 13
+
+
 def test_hist_range_needs_out(capsys):
     code, _, err = run(capsys, "hist", "01", "5..7")
     assert code == 2 and "needs --out" in err
@@ -419,6 +449,8 @@ def test_capacity_exit(capsys):
         # one 12-step pass, then 4 * 12 products for each of ~10^9 n
         (["gaussian", "011", "10..1000000000"], "134217728"),
         (["table", "20", "17"], "2^17 patterns"),
+        (["extremal", "--criterion", "entropy-min", "24", "--n-range", "24"],
+         "2^24 patterns refused: m <= 16"),
         # uint8 symbol rows and int64 half tables of 2 * 2^31 half-texts,
         # (31 + 8 (m + 1)) * 2^31 bytes for the first half and
         # (31 + 12 (m + 1)) * 2^31 for the second, costed before any is built

@@ -557,9 +557,9 @@ def test_exact_form_chosen_by_numpy_and_size(monkeypatch):
     assert extremal.ordering_table(6, 3).ordering_ok
     monkeypatch.undo()
     # before numpy loads, the pure form up to _PURE_TEXTS texts, above it
-    # the array form; both are replaced here, and so is the loading of
-    # numpy, which puts this process's module back, so numpy is not
-    # imported again
+    # the array form, which loads numpy first; both forms are replaced here,
+    # and so is the loading of numpy, which puts this process's module
+    # back, so numpy is not imported again
     real = sys.modules["numpy"]
     monkeypatch.delitem(sys.modules, "numpy")
     forms = []
@@ -573,30 +573,34 @@ def test_exact_form_chosen_by_numpy_and_size(monkeypatch):
                         lambda: sys.modules.__setitem__("numpy", real))
     assert embedding._PURE_TEXTS == 1 << 16
     for n, form in ((1, "pure"), (16, "pure"), (17, "array")):
+        sys.modules.pop("numpy", None)
         forms.clear()
         assert exact_histogram("0", n).counts == {1: 1}
         assert forms == [(form, n)]
+        assert ("numpy" in sys.modules) == (form == "array")
+        sys.modules.pop("numpy", None)
         assert list(embedding.uncertainty_blocks("0", n)) == [([form], [n])]
-    assert "numpy" not in sys.modules
-    # a loop decides once, on its total: 6 orbits of 4-bit patterns at
-    # n = 13 are 49,152 texts, pure; at n = 14, 98,304 texts, so numpy is
-    # loaded and every histogram takes the array form, though each alone
-    # is within the bound
+        assert ("numpy" in sys.modules) == (form == "array")
+    # a job of many histograms decides once, on its total, at its entry
+    # point: 6 orbits of 4-bit patterns at n = 13 are 49,152 texts, pure;
+    # at n = 14, 98,304 texts, so numpy is loaded and every histogram
+    # takes the array form, though each alone is within the bound
+    sys.modules.pop("numpy")
     forms.clear()
-    extremal._entropy_rows(13, 4, None)
+    extremal.ordering_table(13, 4)
     assert forms == [("pure", 13)] * 6 and "numpy" not in sys.modules
     forms.clear()
-    extremal._entropy_rows(14, 4, None)
+    extremal.ordering_table(14, 4)
     assert forms == [("array", 14)] * 6 and sys.modules["numpy"] is real
     # so does a range of n, on the sum over its n
-    monkeypatch.delitem(sys.modules, "numpy")
+    sys.modules.pop("numpy")
     forms.clear()
     extremal.check_entropy_min(4, range(8, 13))  # 47,616 texts
     assert {f for f, _ in forms} == {"pure"} and len(forms) == 30
     forms.clear()
     extremal.check_entropy_min(4, range(8, 14))  # 96,768 texts
     assert {f for f, _ in forms} == {"array"} and len(forms) == 36
-    monkeypatch.delitem(sys.modules, "numpy")
+    sys.modules.pop("numpy")
     # the length, guard and byte refusals come first, whatever the form
     for x, n, error in (("0110", 3, ValueError), ("01", 31, CapacityError),
                         ("012", 5, ValueError), ("0", 63, CapacityError)):

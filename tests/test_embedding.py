@@ -435,6 +435,6 @@ def test_dot_rows_fields_hold_their_bound():
     for top in (255, 256, 2**16, 2**32 - 1, 2**40, 2**63 - 1):
         rows = [tuple(rng.randrange(1 + top // 8) for _ in range(3)) for _ in range(50)]
         c = (1, 2, 5)
-        want = [sum(a * b for a, b in zip(c, s)) for s in rows]
+        want = tuple(sum(a * b for a, b in zip(c, s)) for s in rows)
         assert max(want) <= top and embedding._dot_rows(rows, top)(c) == want, top
-        assert embedding._dot_rows(rows, top)((0, 0, 0)) == [0] * 50
+        assert embedding._dot_rows(rows, top)((0, 0, 0)) == (0,) * 50

@@ -539,19 +539,75 @@ def test_pure_order_matches_array_order(monkeypatch):
 def test_order_form_chosen_by_numpy_and_size(monkeypatch):
     import sys
 
-    # before numpy loads, tables of up to _PURE_ORDER_ROWS rows take the
-    # pure form and larger ones the array form, replaced here so numpy is
-    # not imported again; with numpy loaded, every table takes the array
-    # form, as every other test here shows
+    # before numpy loads, every table takes the pure form at any row count
+    # (a table whose enumeration ran pure has at most 2^8 rows, and 2^11
+    # rows here show no size bound is left); the array form is replaced so
+    # numpy is not imported again.  Once numpy is loaded, every table takes
+    # the array form
     def array_order(ks, hs):
         raise LookupError("array form")
 
     rows = ordering_table(8, 5).rows
-    want = extremal._ordering_violations(rows)
+    big = _ranked(rows * 64)
+    want = [extremal._ordering_violations(r) for r in (rows, big)]
+    real = sys.modules["numpy"]
     monkeypatch.delitem(sys.modules, "numpy")
     monkeypatch.setattr(extremal, "_array_order", array_order)
-    assert extremal._PURE_ORDER_ROWS == 1 << 8
-    assert extremal._ordering_violations(rows) == want
-    assert extremal._ordering_violations(_ranked(rows * 8))  # 256 rows
+    assert [extremal._ordering_violations(r) for r in (rows, big)] == want
+    monkeypatch.setitem(sys.modules, "numpy", real)
     with pytest.raises(LookupError, match="array form"):
-        extremal._ordering_violations(_ranked(rows * 8 + rows[:1]))
+        extremal._ordering_violations(rows)
+
+
+def test_table_job_takes_one_form(monkeypatch):
+    import sys
+
+    from delentropy import distribution, embedding
+
+    # a cold table chooses its form once, on the texts of its histograms,
+    # before its kappa2 scan: 136 orbits of 2^12 texts at (12, 9) load
+    # numpy first, so the scan, the histograms and the findings all take
+    # the array form; 20 orbits of 2^10 texts at (10, 6) stay pure
+    # throughout.  Loading numpy puts this process's module back, so it is
+    # not imported again
+    want = {nm: ordering_table(*nm) for nm in ((12, 9), (10, 6))}
+    real, calls = sys.modules["numpy"], set()
+
+    def recording(fn, form):
+        return lambda *args: calls.add((fn.__name__, form)) or fn(*args)
+
+    for module, name, form in (
+        (extremal, "_pure_blocks", "pure"), (extremal, "kappa_blocks", "array"),
+        (distribution, "_pure_tally", "pure"), (distribution, "_array_tally", "array"),
+        (extremal, "_pure_order", "pure"), (extremal, "_array_order", "array"),
+    ):
+        monkeypatch.setattr(module, name, recording(getattr(module, name), form))
+    monkeypatch.setattr(embedding, "_load_numpy", lambda: sys.modules.__setitem__("numpy", real))
+    monkeypatch.delitem(sys.modules, "numpy")
+    for (n, m), form in (((10, 6), "pure"), ((12, 9), "array")):
+        sys.modules.pop("numpy", None)
+        calls.clear()
+        table = ordering_table(n, m)
+        assert (table.rows, table.violations) == (want[n, m].rows, want[n, m].violations)
+        assert len(calls) == 3 and {f for _, f in calls} == {form}, calls
+        assert ("numpy" in sys.modules) == (form == "array")
+
+
+def test_entropy_min_refuses_large_pattern_spaces(monkeypatch):
+    # m <= 16, the bound of the ordering table, checked after the length,
+    # guard and byte checks, whose messages come first, and before any
+    # histogram is formed
+    from delentropy import distribution
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("histogram formed")
+
+    monkeypatch.setattr(distribution, "exact_histogram", refuse)
+    assert extremal._ENTROPY_M_MAX == 16
+    for m, ns in ((17, [17]), (24, range(24, 25)), (24, range(24, 31))):
+        with pytest.raises(CapacityError, match=f"entropy minimum over 2\\^{m} patterns refused: m <= 16"):
+            check_entropy_min(m, ns)
+    with pytest.raises(ValueError, match="text length 20 shorter than pattern length 24"):
+        check_entropy_min(24, range(20, 25))
+    with pytest.raises(CapacityError, match="exceeds the guard"):
+        check_entropy_min(24, range(24, 32))
