@@ -41,7 +41,8 @@ The capacity bounds behind exit 3:
 
 Each subcommand imports only the modules it calls, inside its ``_cmd_``
 function, and ``import delentropy`` loads none, so a process pays only for
-what it runs.  ``moments --mode asymptotic``, ``kappa PATTERN`` (with or
+what it runs; ``json`` is imported only where JSON is written (a
+``--decomposition``, the JSON rows of ``extremal``, and findings).  ``moments --mode asymptotic``, ``kappa PATTERN`` (with or
 without ``--decomposition``) and the guard, length and byte refusals of
 exact ``hist`` and of ``posterior`` never import numpy: they are exact-int
 closed forms and checks.  A kernel with a pure-Python form takes it only
@@ -66,7 +67,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import stat
 import sys
@@ -232,6 +232,8 @@ def _decomposition_chunks(args, x, dec):
             yield from (",".join(map(str, row)) + "\n" for row in mat)
         yield f"# kappa2={dec.kappa_squared}\n"
         return
+    import json
+
     yield json.dumps({"pattern": x, "m": dec.m, "kappa2": dec.kappa_squared})[:-1]
     for name, (first, *rest) in mats.items():
         yield f', "{name}": [{json.dumps(first)}'
@@ -324,9 +326,13 @@ def _cmd_table(args) -> int:
 def _report_findings(findings) -> int:
     """Print each finding to stderr as ``finding: <json>``; EXIT_FINDING if
     there are any, else EXIT_OK."""
+    if not findings:
+        return EXIT_OK
+    import json
+
     for f in findings:
         print(f"finding: {json.dumps(f)}", file=sys.stderr)
-    return EXIT_FINDING if findings else EXIT_OK
+    return EXIT_FINDING
 
 
 def _extremal_chunks(args, results):
@@ -339,6 +345,8 @@ def _extremal_chunks(args, results):
             for r in results
         ]
         return _row_chunks(args, header, [rows])
+    import json
+
     rounded = not args.full_precision
     return [
         json.dumps({

@@ -27,7 +27,6 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import core
@@ -41,10 +40,11 @@ from .embedding import (
     _validate,
     _walker,
 )
-from .moments import MomentSet, central_from_raw
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .moments import MomentSet
 
 # Sample index s is drawn by PRNG stream s // _BLOCK; stream j is the raw
 # output of PCG64(seed).jumped(j) (see _stream_bits), so results depend on
@@ -359,7 +359,12 @@ def sample_histogram(
 
 def empirical_moments(hist: WeightHistogram) -> MomentSet:
     """Mean and central moments 2..4 of a histogram, as exact rationals
-    from its exact power sums."""
+    from its exact power sums.  ``moments`` and ``fractions`` are imported
+    here, so a histogram that forms no moment loads neither."""
+    from fractions import Fraction
+
+    from .moments import MomentSet, central_from_raw
+
     total = hist.total()
     if total == 0:
         raise ValueError("histogram is empty")

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import core
-from .moments import MomentSet, raw_moments
+from .moments import MomentSet, _raw_sums
 
 if TYPE_CHECKING:
     from .distribution import WeightHistogram
@@ -86,13 +86,15 @@ def _shannon_bits(hist: WeightHistogram) -> float:
 def renyi2_entropy(x: str, n: int) -> float:
     """Second-order Renyi entropy -log2(sum p^2) in bits.
 
-    The collision sum over texts is 2^n * E[W^2], served by the moment DP,
+    The collision sum over texts is 2^n * E[W^2] = a * 2^(n-t), where the
+    moment DP gives E[W^2] as the int a over 2^t (``moments._raw_sums``),
     so no enumeration guard applies; it and the total C(n, m) * 2^(n-m)
-    are logged from an int and a left shift, forming no n-bit int.
+    are logged from an int and a shift, forming no n-bit int and no
+    Fraction.
     """
     core.validate_pattern(x)
-    second = raw_moments(x, n, 2)[1]  # over 2^t, t <= n
-    sum_w2 = _log2_shifted(second.numerator, n + 1 - second.denominator.bit_length())
+    (_, second), steps = _raw_sums(x, n, 2)
+    sum_w2 = _log2_shifted(second, n - steps)
     return 2.0 * _log2_total(n, len(x)) - sum_w2
 
 
@@ -104,9 +106,10 @@ def _log2_total(n: int, m: int) -> float:
 
 
 def _log2_shifted(a: int, shift: int) -> float:
-    """math.log2(a << shift) for a >= 1, bit for bit: CPython takes
-    log2(float(N)) while N rounded to 53 bits is below 2^1024, else
-    log2(f) + e from N's frexp (f, e), and f is a / 2^len(a) rounded once."""
+    """math.log2(N) of the int N = a * 2^shift >= 1, bit for bit, for
+    either sign of shift: CPython takes log2(float(N)) while N rounded to
+    53 bits is below 2^1024, else log2(f) + e from N's frexp (f, e), and f
+    is a / 2^len(a) rounded once, the same for every such (a, shift)."""
     f, e = math.frexp(a / (1 << a.bit_length()))
     e += a.bit_length() + shift
     if e <= 1024:

@@ -115,21 +115,36 @@ def raw_moments(x: str, n: int, rmax: int = 4) -> list[Fraction]:
     nnz < 2^(rmax+1) * C(m+rmax, rmax) is the size of the step plan, and each
     n then costs O(rmax * rmax*m) big-int products.  When the full pass would
     pass 2^27 cell-steps it runs min(n, rmax*m) steps for this n only, and
-    more than 2^27 cell-steps even then is a CapacityError.
+    more than 2^27 cell-steps even then is a CapacityError.  The sums come
+    as ints over one power of two (``_raw_sums``); the moment set, the
+    Gaussian diagnostics and the Renyi-2 entropy read those ints and form
+    only the Fractions they return.
     """
+    sums, steps = _raw_sums(x, n, rmax)
+    return [Fraction(a, 1 << steps) for a in sums]
+
+
+def _raw_sums(x: str, n: int, r: int) -> tuple[list[int], int]:
+    """(sums, steps) with E[W^j] = sums[j - 1] / 2^steps for j = 1..r: the
+    Newton sums of ``raw_moments`` as exact ints, each
+    sum_k C(n, k) 2^(steps - k) t_jk.  j embeddings cover m to j*m text
+    positions, so only k = m..j*m can have t_jk != 0, and the sum runs
+    over those terms alone."""
     m = core.check_lengths(len(core.validate_pattern(x)), n)
-    if not 1 <= rmax <= 4:
+    if not 1 <= r <= 4:
         raise ValueError("moment order must be in 1..4")
-    steps = rmax * m
-    if steps * binomial(m + rmax, rmax) > _MOMENT_CELL_STEPS:
+    steps = r * m
+    if steps * binomial(m + r, r) > _MOMENT_CELL_STEPS:
         steps = min(n, steps)
-        check_cell_steps(m, rmax, steps)
-    rows = _newton_coefficients(x, rmax, steps)
-    scales, scale = [], 1 << steps
-    for k in range(1, min(n, steps) + 1):
+        check_cell_steps(m, r, steps)
+    rows = _newton_coefficients(x, r, steps)
+    scale = binomial(n, m) << (steps - m)
+    scales = [scale]
+    for k in range(m + 1, min(n, steps) + 1):
         scale = scale * (n - k + 1) // (2 * k)  # C(n, k) * 2^(steps - k)
         scales.append(scale)
-    return [Fraction(sum(map(operator.mul, scales, row)), 1 << steps) for row in rows]
+    sums = [sum(map(operator.mul, scales, row[m - 1:j * m])) for j, row in enumerate(rows, 1)]
+    return sums, steps
 
 
 @functools.lru_cache(maxsize=_NEWTON_CACHE)
@@ -285,7 +300,21 @@ def _step_plan(xb, r: int):
 
 def exact_moment(x: str, n: int, r: int) -> Fraction:
     """E[W^r] as an exact rational, r in 1..4."""
-    return raw_moments(x, n, r)[r - 1]
+    sums, steps = _raw_sums(x, n, r)
+    return Fraction(sums[-1], 1 << steps)
+
+
+def _central_ints(a1: int, a2: int, a3: int, a4: int, d: int) -> tuple[int, int, int]:
+    """(P2, P3, P4) with mu_k = P_k / d^k, for raw moments E_j = a_j / d:
+      P2 = a2 d - a1^2,
+      P3 = (a3 d - 3 a2 a1) d + 2 a1^3,
+      P4 = ((a4 d - 4 a3 a1) d + 6 a2 a1^2) d - 3 a1^4.
+    """
+    a1a1 = a1 * a1
+    p2 = a2 * d - a1a1
+    p3 = (a3 * d - 3 * a2 * a1) * d + 2 * a1a1 * a1
+    p4 = ((a4 * d - 4 * a3 * a1) * d + 6 * a2 * a1a1) * d - 3 * a1a1 * a1a1
+    return p2, p3, p4
 
 
 def central_from_raw(raw: list) -> tuple:
@@ -293,28 +322,27 @@ def central_from_raw(raw: list) -> tuple:
     Fractions), the central moments as Fractions.
 
     The raw moments are put over one denominator d, the lcm of theirs, as
-    E_j = a_j / d; then mu_k = P_k / d^k with the integer polynomials
-      P2 = a2 d - a1^2,
-      P3 = (a3 d - 3 a2 a1) d + 2 a1^3,
-      P4 = ((a4 d - 4 a3 a1) d + 6 a2 a1^2) d - 3 a1^4,
-    so each central moment is one Fraction, reduced once, instead of a chain
-    of Fraction products and sums that each reduce.
+    E_j = a_j / d, and each central moment is one Fraction of the integer
+    polynomials of ``_central_ints``, reduced once, instead of a chain of
+    Fraction products and sums that each reduce.
     """
     dens = [e.denominator for e in raw]
     d = math.lcm(*dens)
-    a1, a2, a3, a4 = (e.numerator * (d // den) for e, den in zip(raw, dens))
-    a1a1 = a1 * a1
-    mu2 = Fraction(a2 * d - a1a1, d * d)
-    mu3 = Fraction((a3 * d - 3 * a2 * a1) * d + 2 * a1a1 * a1, d**3)
-    p4 = ((a4 * d - 4 * a3 * a1) * d + 6 * a2 * a1a1) * d - 3 * a1a1 * a1a1
-    mu4 = Fraction(p4, d**4)
-    return raw[0], mu2, mu3, mu4
+    p2, p3, p4 = _central_ints(*(e.numerator * (d // den) for e, den in zip(raw, dens)), d)
+    return raw[0], Fraction(p2, d * d), Fraction(p3, d**3), Fraction(p4, d**4)
 
 
 def exact_moment_set(x: str, n: int) -> MomentSet:
-    """Mean and central moments 2..4 of W, exact, from one order-4 DP pass."""
-    mean, mu2, mu3, mu4 = central_from_raw(raw_moments(x, n, 4))
-    return MomentSet(mean=mean, central={2: mu2, 3: mu3, 4: mu4}, provenance="exact")
+    """Mean and central moments 2..4 of W, exact, from one order-4 DP pass:
+    four Fractions of the ints of ``_raw_sums`` and ``_central_ints``."""
+    sums, steps = _raw_sums(x, n, 4)
+    d = 1 << steps
+    p2, p3, p4 = _central_ints(*sums, d)
+    return MomentSet(
+        mean=Fraction(sums[0], d),
+        central={2: Fraction(p2, d * d), 3: Fraction(p3, d**3), 4: Fraction(p4, d**4)},
+        provenance="exact",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -352,13 +380,46 @@ def _interleaving_table(m: int) -> tuple[tuple[int, ...], ...]:
 # C(2m-1, m) (every column sums to it), and C(67, 34) < 2^64 <= C(69, 35).
 _PACKED_M = 34
 
+# Pattern bits per chunk of ``_chunk_tables``.  200 patterns at m = 20..30,
+# median of 40 passes: 0.61 / 0.59 / 0.57 ms warm with 5- / 6- / 8-bit
+# chunks, and 0.82 / 0.83 / 0.83 ms when a 16 MiB memory sweep precedes each
+# pass, so the width is set by the tables' bytes: 0.39 MiB for those lengths
+# at 5 bits, against 0.64 MiB at 6 and 1.83 MiB at 8.
+_CHUNK_BITS = 5
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+
+# maps the characters of a pattern to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 @functools.lru_cache(maxsize=_PACKED_M)
-def _packed_rows(m: int):
-    """(rows, fields) for length m <= _PACKED_M: the rows of the
-    interleaving table packed by ``core._pack_fields``, field s of row r
-    holding M[r][s], and the ``struct`` that reads a sum of such rows."""
-    return core._pack_fields(_interleaving_table(m), binomial(2 * m - 1, m))
+def _chunk_tables(m: int):
+    """(tables, fields, top) for length m <= _PACKED_M.
+
+    The rows of the interleaving table are packed by ``core._pack_fields``,
+    field s of row r holding M[r][s], and ``fields`` is the ``struct`` that
+    reads a sum of such rows.  Bit i of ``int(x, 2)`` marks position
+    m - 1 - i, and the bits are cut into chunks of _CHUNK_BITS from the
+    lowest: entry v of ``tables[c]`` is the sum of the packed rows that the
+    bits of v select in chunk c, built by doubling with one addition per
+    entry.  top = C(2m-1, m).  One length holds ceil(m / _CHUNK_BITS)
+    tables of up to 2^_CHUNK_BITS ints of m fields; by ``sys.getsizeof``,
+    25 KiB at m = 20, 53 KiB at m = 30 and 64 KiB at m = 34: 0.39 MiB for
+    m = 20..30 and 0.72 MiB for the full cache of m = 1..34.  The rows are
+    packed from an interleaving table built for this call and dropped, so a
+    length that only ``kappa_squared`` asks for does not also hold its
+    tuple table in ``_interleaving_table``'s cache.
+    """
+    top = binomial(2 * m - 1, m)
+    rows, fields = core._pack_fields(_interleaving_table.__wrapped__(m), top)
+    bit_rows = rows[::-1]
+    tables = []
+    for lo in range(0, m, _CHUNK_BITS):
+        table = [0]
+        for row in bit_rows[lo:lo + _CHUNK_BITS]:
+            table += [v + row for v in table]
+        tables.append(tuple(table))
+    return tuple(tables), fields, top
 
 
 def _table_bytes(m: int) -> int:
@@ -404,27 +465,36 @@ def kappa_squared(x: str) -> int:
     With symbols b in {0, 1}, [b_r = b_s] = 1 - b_r - b_s + 2 b_r b_s, and
     every row of M sums to C(2m-1, m), so
     kappa2 = (m - 2|b|) C(2m-1, m) + 2 b'Mb over the interleaving table, in
-    exact ints for any m.  kappa2 is unchanged by complementing x, so b
-    marks the positions of the rarer symbol: at most m^2 / 4 terms, added
-    in C loops over the rows and columns one ``itemgetter`` picks.  Up to
-    m = _PACKED_M the picked rows of ``_packed_rows`` are summed as ints,
-    which adds all their columns at once in packed fields, and the picked
-    fields are then summed (200 patterns at m = 20..30, median of 200
-    passes: 1.85 ms, against 2.51 ms over tuple rows and 2.68 ms for a
-    generator of single entries).
+    exact ints for any m.  Up to m = _PACKED_M, b marks the 1s of x: the
+    packed rows they select, S = Mb in fields, are one table entry per
+    chunk of ``int(x, 2)`` (``_chunk_tables``), and b'Mb is the sum of S's
+    fields at the 1s, picked by ``itertools.compress``.  No field passes
+    C(2m-1, m), the column sum of M, whatever |b| is.  200 patterns at
+    m = 20..30, median of 40 passes: 0.61 ms warm and 0.82 ms after a
+    16 MiB memory sweep, against 0.99 and 1.06 ms for sums of the rarer
+    symbol's packed rows.  Past _PACKED_M, kappa2 is unchanged by
+    complementing x, so b marks the positions of the rarer symbol: at most
+    m^2 / 4 terms, added in C loops over the rows and columns one
+    ``itemgetter`` picks.
     """
     core.validate_pattern(x)
     m = len(x)
+    if m <= _PACKED_M:
+        tables, fields, top = _chunk_tables(m)
+        v, mb = int(x, 2), 0
+        for table in tables:
+            mb += table[v & _CHUNK_MASK]
+            v >>= _CHUNK_BITS
+        picked = itertools.compress(
+            fields.unpack(mb.to_bytes(fields.size, "little")), x.encode().translate(_BIT_BYTES)
+        )
+        return (m - 2 * x.count("1")) * top + 2 * sum(picked)
     rare = "1" if x.count("1") <= m // 2 else "0"
     pos = [i for i, c in enumerate(x) if c == rare]
     if len(pos) < 2:  # at most one diagonal entry M[r][r]: no table needed
         cross = sum(
             binomial(2 * r, r) * binomial(2 * (m - r - 1), m - r - 1) for r in pos
         )
-    elif m <= _PACKED_M:
-        rows, fields = _packed_rows(m)
-        pick = operator.itemgetter(*pos)
-        cross = sum(pick(fields.unpack(sum(pick(rows)).to_bytes(fields.size, "little"))))
     else:
         pick = operator.itemgetter(*pos)
         cross = sum(map(sum, map(pick, pick(_interleavings(m)))))
@@ -432,18 +502,24 @@ def kappa_squared(x: str) -> int:
 
 
 def kappa_decomposition(x: str) -> KappaDecomposition:
-    """The symbol mask, interleaving matrix, and their Hadamard product."""
+    """The symbol mask, interleaving matrix, and their Hadamard product.
+
+    Row r of the mask is the row of x's symbol at r: ``ones`` marks the 1s
+    of x and ``zeros`` its 0s, each formed once and copied per row.
+    """
     core.validate_pattern(x)
     m = len(x)
     mat = interleaving_matrix(m)
-    mask = [[1 if x[r] == x[s] else 0 for s in range(m)] for r in range(m)]
-    masked = [[mask[r][s] * mat[r][s] for s in range(m)] for r in range(m)]
+    ones = list(x.encode().translate(_BIT_BYTES))
+    zeros = [1 - b for b in ones]
+    mask = [(ones if b else zeros).copy() for b in ones]
+    masked = [list(map(operator.mul, brow, mrow)) for brow, mrow in zip(mask, mat)]
     return KappaDecomposition(
         m=m,
         symbol_mask=mask,
         interleavings=mat,
         masked=masked,
-        kappa_squared=sum(sum(row) for row in masked),
+        kappa_squared=sum(map(sum, masked)),
     )
 
 
@@ -516,23 +592,31 @@ def gaussian_limit_moments(n: int, m: int, kappa2: int) -> MomentSet:
 # ---------------------------------------------------------------------------
 
 def diagnostics_from_moments(moments: MomentSet, n: int) -> GaussianDiagnostics:
-    """Skewness and excess kurtosis from a moment set.
+    """Skewness and excess kurtosis from a moment set, by ``_shape`` on its
+    central moments as exact Fractions."""
+    return _shape(*(Fraction(moments.central[j]) for j in (2, 3, 4)), n)
 
-    The ratios mu3^2 / mu2^3 and mu4 / mu2^2 - 3 are formed as exact
-    Fractions and rounded once each, so neither the cancellation of a nearly
+
+def _shape(p2, p3, p4, n: int) -> GaussianDiagnostics:
+    """Diagnostics from the central moments mu2, mu3, mu4, or from any
+    P_k = mu_k d^k (exact ints or Fractions).
+
+    The ratios mu3^2 / mu2^3 = P3^2 / P2^3 and
+    mu4 / mu2^2 - 3 = (P4 - 3 P2^2) / P2^2 are formed exactly and rounded
+    once each (Fraction to float and int / int true division both round
+    the exact ratio once), so neither the cancellation of a nearly
     symmetric distribution nor moments beyond the float range (a 30-bit
     pattern at n = 10^6) reach the result; the skewness is the square root
     of the first, with the sign of mu3.
     """
-    mu2, mu3, mu4 = (Fraction(moments.central[j]) for j in (2, 3, 4))
-    if mu2 <= 0:
+    if p2 <= 0:
         raise DegenerateDistributionError(
             "variance is zero; skewness and kurtosis are undefined"
         )
-    skew = math.sqrt(float(mu3 * mu3 / mu2**3))
-    kurt = float(mu4 / (mu2 * mu2) - 3)
+    skew = math.sqrt(float(p3 * p3 / p2**3))
+    kurt = float((p4 - 3 * p2 * p2) / (p2 * p2))
     return GaussianDiagnostics(
-        n=n, skewness=-skew if mu3 < 0 else skew, excess_kurtosis=kurt
+        n=n, skewness=-skew if p3 < 0 else skew, excess_kurtosis=kurt
     )
 
 
@@ -541,9 +625,11 @@ def gaussian_diagnostics(
 ) -> GaussianDiagnostics:
     """Diagnostics for pattern x at text length n.
 
-    With no ``moments`` argument the exact tensor DP supplies them; pass an
+    With no ``moments`` argument the exact tensor DP supplies them, as the
+    ints P_k of ``_central_ints``, so no Fraction is formed; pass an
     empirical moment set (from a histogram) to diagnose sampled data.
     """
-    if moments is None:
-        moments = exact_moment_set(x, n)
-    return diagnostics_from_moments(moments, n)
+    if moments is not None:
+        return diagnostics_from_moments(moments, n)
+    sums, steps = _raw_sums(x, n, 4)
+    return _shape(*_central_ints(*sums, 1 << steps), n)

@@ -160,6 +160,20 @@ def single_overlap_interleavings(m: int) -> list:
     return out
 
 
+def single_overlap_tally(m: int) -> dict:
+    """``single_overlap_interleavings(m)`` tallied as {(r, s): count},
+    without listing them: the positions before the shared one hold r of the
+    first copy and s of the second in any order, and those after it the
+    rest, and each side is counted as monotone lattice paths, one step at a
+    time."""
+    paths = [[1] * m for _ in range(m)]
+    for a in range(1, m):
+        for b in range(1, m):
+            paths[a][b] = paths[a - 1][b] + paths[a][b - 1]
+    return {(r, s): paths[r][s] * paths[m - 1 - r][m - 1 - s]
+            for r in range(m) for s in range(m)}
+
+
 def brute_kappa_squared(x: str, interleavings=None) -> int:
     """kappa2 by counting the single-overlap interleavings of two copies of x
     whose shared position carries equal symbols.

@@ -1,7 +1,8 @@
 """Cold start: ``import delentropy`` loads no submodule, its public names
 resolve on first use, and the closed-form subcommands, small moment
 tensors, small kappa2 scans and small exact enumerations never import
-numpy."""
+numpy; an exact histogram loads no moment code, and ``json`` is loaded
+only for JSON output."""
 
 import subprocess
 import sys
@@ -161,3 +162,32 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(delentropy, "_step_plan")
     with pytest.raises(ImportError):
         from delentropy import no_such_name  # noqa: F401
+
+
+def test_exact_hist_loads_no_moments():
+    # an exact histogram forms no moment, so neither the moment module nor
+    # fractions is loaded for it
+    code, out, err = _child(
+        "from delentropy.cli import main\n"
+        "main(['hist', '10110111', '16'])\n"
+        "print(sorted({'delentropy.moments', 'fractions'} & set(sys.modules)), file=sys.stderr)"
+    )
+    assert (code, err) == (0, "[]\n")
+    assert out.startswith("omega,count\n")
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["kappa", "--all", "12"], False),
+    (["kappa", "0110", "--decomposition"], False),
+    (["kappa", "0110", "--decomposition", "--format", "json"], True),
+    (["extremal", "--criterion", "kappa-min", "12", "--format", "json"], True),
+])
+def test_json_loaded_only_for_json_output(argv, loads, capsys):
+    code, out, err = _child(
+        "from delentropy.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "print('json' in sys.modules, file=sys.stderr)",
+        *argv,
+    )
+    assert (code, err) == (0, f"{loads}\n")
+    assert main(argv) == 0 and capsys.readouterr().out == out

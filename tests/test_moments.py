@@ -394,6 +394,88 @@ def test_kappa_squared_few_rare_symbols_and_long_patterns():
                 assert kappa_squared(x) == _kappa_by_generator(x), x
 
 
+def test_kappa_squared_every_pattern_m11_to_m14():
+    # past the listed interleavings of the test above: the interleavings
+    # tallied by (r, s) from lattice paths, a tally that equals the listed
+    # one up to m = 8
+    from collections import Counter
+
+    from delentropy import all_bitstrings
+
+    for m in range(1, 9):
+        assert oracles.single_overlap_tally(m) == Counter(oracles.single_overlap_interleavings(m))
+    for m in range(11, 15):
+        lays = oracles.single_overlap_tally(m)
+        for x in all_bitstrings(m):
+            assert kappa_squared(x) == oracles.brute_kappa_squared(x, lays), x
+
+
+def _kappa_by_rows(x):
+    """kappa2 over the tuple rows of the interleaving table: the rows and
+    columns at the 1s of x picked by one itemgetter, for any number of 1s."""
+    m = len(x)
+    pos = [i for i, c in enumerate(x) if c == "1"]
+    table = moments._interleaving_table(m)
+    cross = sum(table[r][s] for r in pos for s in pos)
+    return (m - 2 * len(pos)) * math.comb(2 * m - 1, m) + 2 * cross
+
+
+def test_kappa_squared_chunk_tables_match_row_sums():
+    # random, constant, alternating and single-1 patterns at every packed
+    # length past the exhaustive check, m = 15..34
+    rng = random.Random(34)
+    for m in range(15, moments._PACKED_M + 1):
+        xs = ["0" * m, "1" * m, ("01" * m)[:m], ("10" * m)[:m]]
+        xs += ["0" * i + "1" + "0" * (m - 1 - i) for i in range(m)]
+        xs += [format(rng.getrandbits(m), f"0{m}b") for _ in range(60)]
+        for x in xs:
+            assert kappa_squared(x) == _kappa_by_rows(x), x
+
+
+def test_chunk_table_cache_is_bounded():
+    # one entry per packed length, at most _PACKED_M of them, in the bytes
+    # the docstring of _chunk_tables states
+    tables = moments._chunk_tables
+    assert tables.cache_info().maxsize == moments._PACKED_M == 34
+    for m in range(1, 41):
+        kappa_squared("01" * (m // 2) + "1" * (m % 2))
+    assert tables.cache_info().currsize == moments._PACKED_M
+
+    def size(m):
+        chunks = tables(m)[0]
+        return sys.getsizeof(chunks) + sum(
+            sys.getsizeof(t) + sum(map(sys.getsizeof, t)) for t in chunks
+        )
+
+    assert len(tables(30)[0]) == 6 and len(tables(30)[0][0]) == 1 << moments._CHUNK_BITS
+    assert sum(map(size, range(20, 31))) < 0.4 * 2**20
+    assert sum(map(size, range(1, 35))) < 0.75 * 2**20
+    assert size(34) < 65 * 2**10
+
+
+def test_moment_answers_match_the_fraction_route():
+    # the moment set, the diagnostics and the Renyi-2 entropy from the ints
+    # of _raw_sums equal those from the Fractions of raw_moments, bit for bit
+    from delentropy import entropy
+
+    rng = random.Random(8)
+    for m in range(1, 9):
+        for x in {"0" * m, ("01" * m)[:m], format(rng.getrandbits(m), f"0{m}b")}:
+            for n in [*range(m, 4 * m + 3), 200]:
+                raw = raw_moments(x, n, 4)
+                mean, mu2, mu3, mu4 = moments.central_from_raw(raw)
+                ms = exact_moment_set(x, n)
+                assert (ms.mean, ms.central, ms.provenance) == (
+                    mean, {2: mu2, 3: mu3, 4: mu4}, "exact"), (x, n)
+                assert all(type(v) is Fraction for v in (ms.mean, *ms.central.values()))
+                want = diagnostics_from_moments(MomentSet(mean, {2: mu2, 3: mu3, 4: mu4}, "exact"), n)
+                assert gaussian_diagnostics(x, n) == want, (x, n)
+                sum_w2 = raw[1] * (1 << n)
+                assert sum_w2.denominator == 1
+                want = 2.0 * math.log2(math.comb(n, m) << (n - m)) - math.log2(sum_w2.numerator)
+                assert entropy.renyi2_entropy(x, n) == want, (x, n)
+
+
 def test_kappa_tables_are_not_shared():
     x = "0110100"
     k = kappa_squared(x)
