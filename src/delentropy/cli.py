@@ -362,6 +362,8 @@ def _extremal_chunks(args, results):
 
 
 def _cmd_extremal(args) -> int:
+    if args.n_range is not None and args.criterion != "entropy-min":
+        raise ValueError("--n-range applies to --criterion entropy-min only")
     from . import extremal
 
     if args.criterion == "kappa-max":

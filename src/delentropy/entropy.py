@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import core
@@ -175,14 +174,19 @@ def _moment_estimate(moments: MomentSet, log2_normalizer: float) -> tuple[float,
     Both the core term and the bound are divided by E * ln 2 on the way to
     bits, applying the posterior normalization of the module docstring.
     V / E^2, mu3 / E^3 and mu4 / E^4 are exact ratios rounded once each, so
-    moments beyond the float range still give finite values.
+    moments beyond the float range still give finite values: with
+    E = p / q and mu_j = a / b, each is the int true division
+    (a q^j) / (b p^j), which rounds once, as ``float`` of the equal
+    ``Fraction`` does, and forms no gcd.
     """
-    mean = Fraction(moments.mean)
-    if mean <= 0:
+    p, q = moments.mean.as_integer_ratio()
+    if p <= 0:
         raise ValueError("mean must be positive")
     var_ratio, mu3_ratio, mu4_ratio = (
-        float(Fraction(moments.central[j]) / mean**j) for j in (2, 3, 4)
+        a * q**j / (b * p**j)
+        for j in (2, 3, 4)
+        for a, b in [moments.central[j].as_integer_ratio()]
     )
-    log_mean = math.log(mean.numerator) - math.log(mean.denominator)
+    log_mean = math.log(p) - math.log(q)
     core_per_mean = log_mean + var_ratio / 2.0 - mu3_ratio / 6.0
     return log2_normalizer - core_per_mean / _LN2, (5.0 / 3.0) * mu4_ratio / _LN2

@@ -12,26 +12,26 @@ and ``_pure_blocks``, over Python ints.  Both scans, the ordering table's
 kappa2 column and ``kappa --all`` take ``_pure_blocks`` while numpy is not
 loaded and 2^m <= _PURE_PATTERNS (``core.before_numpy``), where it costs
 less than the numpy import alone, and ``kappa_blocks`` otherwise.  numpy
-is imported only inside the functions that build arrays, and
-``embedding`` only inside those and the entropy jobs, so a small cold
-scan loads neither.  The ordering findings have two forms in the same
-way, ``_pure_order`` and ``_array_order``.  A table or an entropy minimum
-chooses its form once, on all its histograms' texts, before its first
-kernel (``embedding._pure_enumeration``), and all its kernels follow.
+is imported only inside the functions that build arrays, ``embedding``
+only inside those and the entropy jobs, and the interleaving table comes
+from ``core``, so a small cold scan loads none of numpy, ``embedding``
+and ``moments``.  A table or an entropy minimum chooses its form once, on
+all its histograms' texts, before its first kernel
+(``embedding._pure_enumeration``), and its scan follows.  The ordering
+findings have one kernel, in pure Python, and no form switch: a Fenwick
+tree counts them and one sorted walk lists them.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-import math
 import operator
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import core
-from .core import ExtremalInvariantError
-from .moments import _interleaving_table, kappa_max
+from .core import ExtremalInvariantError, _interleaving_table, kappa_max
 
 # The scan's int64 values stay within +-3 * kappa_max(m).  M >= 0 entrywise,
 # each row sums to c and sum(M) = kappa_max(m) = m c, so for 0/1 fields f, g
@@ -65,7 +65,7 @@ _PURE_PATTERNS = 1 << 17
 _ENTROPY_M_MAX = 16
 
 # Bytes one ordering finding costs while the list of findings is built: its
-# dict and its list slot, 281 B held and at most 281.22 B at the peak per
+# dict and its list slot, 281 B held and at most 281.24 B at the peak per
 # finding at ``table 8 8``, ``9 9`` and ``10 10`` (by tracemalloc); the
 # patterns, kappa2 values and H floats are shared with the rows.
 _FINDING_BYTES = 282
@@ -390,83 +390,66 @@ def ordering_table(
 
 def _ordering_violations(rows) -> list[dict]:
     """Tie mismatches, then strict-pair inversions, of rows sorted by
-    (-kappa2, pattern), in one pass.
+    (-kappa2, pattern).
 
-    A group is a run of equal kappa2.  A row can head an inversion only if
-    its H is not below the suffix minimum of H past its group; the later
-    rows with H_low <= H_high are then its inversions, in row order.  The
-    findings are counted exactly and charged ``_FINDING_BYTES`` each
-    (``core.charge``) before any is formed: near n = m their number
-    approaches 2^(2m-1).  The groups, heads and inversions come from
-    ``_pure_order`` while numpy is not loaded, that is when the table's
-    enumeration ran pure, and from ``_array_order`` otherwise, whose
-    per-head ``flatnonzero`` keeps ``table 16 16`` fast.
+    A group is a run of equal kappa2, and a row's inversions are the rows
+    past its group with H_low <= H_high, in row order.  ``_count_below``
+    gives their number per row, so the findings are counted exactly and
+    charged ``_FINDING_BYTES`` each (``core.charge``) before any is formed:
+    near n = m their number approaches 2^(2m-1).  They are then listed in
+    one walk over the groups that keeps the rows past the current group
+    sorted by (H, row) in one list: a row with k inversions has them as the
+    first k entries, put back in row order.
     """
     xs, ks, hs = zip(*rows)
-    pure = "numpy" not in sys.modules
-    ties, heads, count, inversions = (_pure_order if pure else _array_order)(ks, hs)
+    ends = list(itertools.accumulate(len(list(g)) for _, g in itertools.groupby(ks)))
+    groups = list(zip([0, *ends[:-1]], ends))
+    ties = [(s, e, a, b) for s, e in groups if (a := min(hs[s:e])) < (b := max(hs[s:e]))]
+    below = _count_below(groups, hs)
+    count = len(ties) + sum(below)
     core.charge(f"listing the {count} findings of the entropy ordering of {len(rows)} patterns",
                 count * _FINDING_BYTES, f"{_FINDING_BYTES} per finding")
     violations = [
         dict(kind="tie-mismatch", kappa2=ks[s], patterns=list(xs[s:e]), H_spread=b - a)
         for s, e, a, b in ties
     ]
-    for i in heads:
-        for j in inversions(i):
-            violations.append(dict(
-                kind="ordering", pattern_high=xs[i], pattern_low=xs[j],
-                kappa2_high=ks[i], kappa2_low=ks[j], H_high=hs[i], H_low=hs[j],
-            ))
+    key = lambda j: (hs[j], j)
+    past = sorted(range(len(rows)), key=key)
+    for s, e in groups:
+        for i in range(s, e):
+            del past[bisect.bisect_left(past, (hs[i], i), key=key)]
+        for i in range(s, e):
+            if below[i]:
+                x, k, h = rows[i]
+                violations += [
+                    dict(kind="ordering", pattern_high=x, pattern_low=xs[j],
+                         kappa2_high=k, kappa2_low=ks[j], H_high=h, H_low=hs[j])
+                    for j in sorted(past[:below[i]])
+                ]
     return violations
 
 
-def _pure_order(ks, hs):
-    """(ties, heads, count, inversions) of ``_ordering_violations`` over
-    Python lists: the tied groups as (start, end, min H, max H), the rows
-    that head an inversion, the number of findings, and a function of a
-    head giving its inversions in row order."""
-    size = len(ks)
-    starts = [i for i in range(size) if i == 0 or ks[i] != ks[i - 1]]
-    ends = starts[1:] + [size]
-    spans = [(s, e, min(hs[s:e]), max(hs[s:e])) for s, e in zip(starts, ends)]
-    ties = [span for span in spans if span[3] > span[2]]
-    # later[i]: the first row past row i's group; suffix_min[j]: min H over j..
-    later = [e for s, e in zip(starts, ends) for _ in range(s, e)]
-    suffix_min = [*itertools.accumulate(reversed(hs), min)][::-1] + [math.inf]
-    heads = [i for i in range(size) if hs[i] >= suffix_min[later[i]]]
-    count = len(ties) + sum(sum(h <= hs[i] for h in hs[later[i]:]) for i in heads)
-
-    def inversions(i):
-        return [j for j in range(later[i], size) if hs[j] <= hs[i]]
-
-    return ties, heads, count, inversions
-
-
-def _array_order(ks, hs):
-    """``_pure_order`` by numpy: a reduction per group, one suffix minimum,
-    and a ``count_nonzero`` and a ``flatnonzero`` per head."""
-    import numpy as np
-
-    h = np.array(hs)
-    starts = np.flatnonzero(np.r_[True, np.diff(ks) != 0])
-    ends = np.r_[starts[1:], len(hs)]
-    lo = np.minimum.reduceat(h, starts).tolist()
-    hi = np.maximum.reduceat(h, starts).tolist()
-    ties = [
-        (s, e, a, b)
-        for s, e, a, b in zip(starts.tolist(), ends.tolist(), lo, hi)
-        if b > a
-    ]
-    # later[i]: the first row past row i's group; suffix_min[j]: min H over j..
-    later = np.repeat(ends, ends - starts).tolist()
-    suffix_min = np.r_[np.minimum.accumulate(h[::-1])[::-1], np.inf]
-    heads = np.flatnonzero(h >= suffix_min[later]).tolist()
-    count = len(ties) + sum(int(np.count_nonzero(h[later[i]:] <= h[i])) for i in heads)
-
-    def inversions(i):
-        return (later[i] + np.flatnonzero(h[later[i]:] <= h[i])).tolist()
-
-    return ties, heads, count, inversions
+def _count_below(groups, hs) -> list[int]:
+    """For each row, the number of rows past its group whose H is at or
+    below its own: a Fenwick tree of counts over the ranks of H (P. M.
+    Fenwick, Softw. Pract. Exper. 24(3), 1994), filled one group at a time
+    from the last, each row asking before its own group goes in.  Every
+    query and insertion costs O(log rows)."""
+    rank = {h: r for r, h in enumerate(sorted(set(hs)), 1)}
+    ranks, top = [rank[h] for h in hs], len(rank)
+    tree, below = [0] * (top + 1), [0] * len(hs)
+    for s, e in reversed(groups):
+        for i in range(s, e):
+            r, c = ranks[i], 0
+            while r:
+                c += tree[r]
+                r &= r - 1
+            below[i] = c
+        for r in ranks[s:e]:
+            while r <= top:
+                tree[r] += 1
+                r += r & -r
+    return below
 
 
 def check_entropy_min(

@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from . import core
 from .core import DegenerateDistributionError, binomial
+from .core import _TABLE_CACHE, _interleaving_table, kappa_max  # defined in core for the scans
 
 # Sorted tensor cells times DP steps raw_moments accepts: ~0.3 us each
 # (measured at m = 32..45, r = 4), ~40 s.
@@ -349,32 +350,6 @@ def exact_moment_set(x: str, n: int) -> MomentSet:
 # autocorrelation coefficient
 # ---------------------------------------------------------------------------
 
-# Interleaving tables are cached for lengths m <= _TABLE_CACHE only, one per
-# length.  A table holds m^2 exact ints: under 0.3 MiB at m = 64, so the
-# cache stays under about 20 MiB; a longer table is costed by
-# ``_table_bytes``, built per call and dropped afterwards.
-_TABLE_CACHE = 64
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE)
-def _interleaving_table(m: int) -> tuple[tuple[int, ...], ...]:
-    """M for length m, as a tuple of tuples of exact ints.
-
-    M[r][s] = C(r+s, r) * C(2m-r-s-2, m-r-1) for 0-based r, s: the product
-    of P[r][s] and P[m-1-r][m-1-s] in the Pascal square P[r][s] = C(r+s, r),
-    whose row r is the running sum of row r - 1, so the table costs m^2
-    big-int additions and products.  M is symmetric, and every row sums to
-    C(2m-1, m) (Chu-Vandermonde), so its total is kappa_max(m).
-    """
-    pascal = [[1] * m]
-    for _ in range(1, m):
-        pascal.append(list(itertools.accumulate(pascal[-1])))
-    return tuple(
-        tuple(map(operator.mul, pascal[r], reversed(pascal[m - 1 - r])))
-        for r in range(m)
-    )
-
-
 # Lengths whose interleaving rows ``kappa_squared`` packs into fields of at
 # most 64 bits: a field holds a column sum of M over some of its rows, at most
 # C(2m-1, m) (every column sums to it), and C(67, 34) < 2^64 <= C(69, 35).
@@ -521,13 +496,6 @@ def kappa_decomposition(x: str) -> KappaDecomposition:
         masked=masked,
         kappa_squared=sum(map(sum, masked)),
     )
-
-
-def kappa_max(m: int) -> int:
-    """Largest possible autocorrelation at length m: m * C(2m-1, m),
-    attained exactly by the two constant patterns."""
-    core.check_lengths(m)
-    return m * binomial(2 * m - 1, m)
 
 
 def variance_coefficient(kappa2: int, m: int) -> int:

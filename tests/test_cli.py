@@ -332,6 +332,14 @@ def test_extremal_entropy_min(capsys):
     assert code == 2  # n-range required
 
 
+@pytest.mark.parametrize("criterion", ["kappa-max", "kappa-min"])
+def test_n_range_applies_to_entropy_min_only(criterion, capsys):
+    # given with a kappa2 criterion, --n-range is a usage error, not ignored
+    code, out, err = run(capsys, "extremal", "--criterion", criterion, "14", "--n-range", "5")
+    assert (code, out) == (2, "")
+    assert err == "usage error: --n-range applies to --criterion entropy-min only\n"
+
+
 def test_extremal_finding_exit_code(capsys, monkeypatch):
     from delentropy.extremal import ExtremalResult
 
@@ -675,6 +683,16 @@ def test_out_file_single(tmp_path, capsys):
     code, out, _ = run(capsys, "kappa", "0", "--out", str(dest))
     assert code == 0 and out == ""
     assert dest.read_text() == "pattern,kappa2\n0,1\n"
+
+
+def test_out_creates_missing_parent_directories(tmp_path, capsys):
+    # a file path and a sweep directory, each two levels below tmp_path
+    dest = tmp_path / "a" / "b" / "kappa.csv"
+    assert run(capsys, "kappa", "0", "--out", str(dest)) == (0, "", "")
+    assert dest.read_text() == "pattern,kappa2\n0,1\n"
+    sweep = tmp_path / "c" / "d"
+    assert run(capsys, "hist", "01", "2..3", "--out", str(sweep)) == (0, "", "")
+    assert sorted(p.name for p in sweep.iterdir()) == ["hist_01_n02.csv", "hist_01_n03.csv"]
 
 
 def _hist_table(hist):

@@ -250,6 +250,40 @@ def test_estimate_at_huge_n_holds_no_big_int():
     assert peak < 1 << 20
 
 
+def _fraction_estimate(moments, log2_normalizer):
+    # the estimate with every ratio a Fraction quotient rounded by float()
+    mean = Fraction(moments.mean)
+    var_ratio, mu3_ratio, mu4_ratio = (
+        float(Fraction(moments.central[j]) / mean**j) for j in (2, 3, 4)
+    )
+    per_mean = math.log(mean.numerator) - math.log(mean.denominator) + var_ratio / 2.0 - mu3_ratio / 6.0
+    return log2_normalizer - per_mean / math.log(2.0), (5.0 / 3.0) * mu4_ratio / math.log(2.0)
+
+
+def test_estimate_ratios_match_the_fraction_form():
+    # int true division of the as_integer_ratio() parts rounds each ratio
+    # once, as float() of the Fraction quotient does: equal floats on exact
+    # moment sets, asymptotic float moments and random signed Fractions
+    import random
+
+    rng = random.Random(31)
+    sets = []
+    for _ in range(60):
+        m = rng.randint(1, 8)
+        x = "".join(rng.choice("01") for _ in range(m))
+        n = rng.randint(m, 300)
+        sets.append((exact_moment_set(x, n), entropy._log2_total(n, m)))
+        sets.append((gaussian_limit_moments(n, m, kappa_squared(x)), entropy._log2_total(n, m)))
+    for _ in range(100):
+        def draw():
+            return Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**20))
+        mean = Fraction(rng.randint(1, 10**25), rng.randint(1, 10**25))
+        sets.append((MomentSet(mean=mean, central={j: draw() for j in (2, 3, 4)},
+                               provenance="exact"), rng.uniform(0.0, 500.0)))
+    for ms, log2_total in sets:
+        assert entropy._moment_estimate(ms, log2_total) == _fraction_estimate(ms, log2_total)
+
+
 def test_estimate_from_asymptotic_moments():
     # not a rigorous enclosure, but should land near the exact value
     x, n = "01", 40

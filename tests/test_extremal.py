@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -385,6 +386,20 @@ def test_ordering_violations_match_all_pairs_on_edge_rows():
     assert len(extremal._ordering_violations(equal_across)) == 3
 
 
+def test_count_below_matches_every_pair():
+    # per row, the rows past its group with H at or below its own; groups of
+    # one row and of all rows, equal H across groups, and -0.0 == 0.0
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        size = int(rng.integers(1, 64))
+        ks = sorted(rng.integers(0, int(rng.integers(1, 10)), size).tolist(), reverse=True)
+        hs = rng.choice([-0.0, 0.0, 0.25, 1.0, 2.5, math.inf], size).tolist()
+        ends = [i + 1 for i in range(size) if i + 1 == size or ks[i + 1] != ks[i]]
+        groups = list(zip([0, *ends[:-1]], ends))
+        want = [sum(hs[j] <= hs[i] for j in range(e, size)) for s, e in groups for i in range(s, e)]
+        assert extremal._count_below(groups, hs) == want
+
+
 def test_ordering_violations_match_all_pairs_on_real_tables(monkeypatch):
     # the findings are counted exactly before they are formed: at a bound
     # of exactly their charge the list comes back, one byte below it the
@@ -506,59 +521,6 @@ def test_entropy_min_degenerate_all_tie():
     assert res.finding is not None  # reported, not asserted
 
 
-def test_pure_order_matches_array_order(monkeypatch):
-    # the two forms give the same groups, heads, count and inversions, and
-    # so the same findings in the same order and the same charge, on the
-    # table rows of every m <= 8 and on the random and edge rows above
-    rng = np.random.default_rng(27)
-    cases = [ordering_table(n, m).rows for m in range(1, 9) for n in (m, m + 2, m + 4)]
-    for _ in range(100):
-        size = int(rng.integers(1, 48))
-        patterns = [format(int(v), "06b") for v in rng.permutation(64)[:size]]
-        kappas = rng.integers(0, int(rng.integers(1, 8)), size).tolist()
-        hs = rng.choice([0.0, 0.25, 0.5, 1.0, 2.5], size).tolist()
-        cases.append(_ranked(zip(patterns, kappas, hs)))
-    cases += [[("a", 9, 1.0), ("b", 8, 1.0), ("c", 7, 1.0)], [("a", 4, 1.0), ("b", 4, 2.0)]]
-    want = []
-    for rows in cases:
-        _, ks, hs = zip(*rows)
-        pure, array = extremal._pure_order(ks, hs), extremal._array_order(ks, hs)
-        assert pure[:3] == array[:3], rows
-        assert [pure[3](i) for i in pure[1]] == [array[3](i) for i in array[1]], rows
-        want.append(extremal._ordering_violations(rows))
-    monkeypatch.setattr(extremal, "_array_order", extremal._pure_order)
-    for rows, findings in zip(cases, want):
-        assert extremal._ordering_violations(rows) == findings
-        if findings:
-            with monkeypatch.context() as patch:
-                patch.setattr(core, "MAX_BYTES", len(findings) * extremal._FINDING_BYTES - 1)
-                with pytest.raises(CapacityError, match=f" {len(findings)} findings"):
-                    extremal._ordering_violations(rows)
-
-
-def test_order_form_chosen_by_numpy_and_size(monkeypatch):
-    import sys
-
-    # before numpy loads, every table takes the pure form at any row count
-    # (a table whose enumeration ran pure has at most 2^8 rows, and 2^11
-    # rows here show no size bound is left); the array form is replaced so
-    # numpy is not imported again.  Once numpy is loaded, every table takes
-    # the array form
-    def array_order(ks, hs):
-        raise LookupError("array form")
-
-    rows = ordering_table(8, 5).rows
-    big = _ranked(rows * 64)
-    want = [extremal._ordering_violations(r) for r in (rows, big)]
-    real = sys.modules["numpy"]
-    monkeypatch.delitem(sys.modules, "numpy")
-    monkeypatch.setattr(extremal, "_array_order", array_order)
-    assert [extremal._ordering_violations(r) for r in (rows, big)] == want
-    monkeypatch.setitem(sys.modules, "numpy", real)
-    with pytest.raises(LookupError, match="array form"):
-        extremal._ordering_violations(rows)
-
-
 def test_table_job_takes_one_form(monkeypatch):
     import sys
 
@@ -566,10 +528,10 @@ def test_table_job_takes_one_form(monkeypatch):
 
     # a cold table chooses its form once, on the texts of its histograms,
     # before its kappa2 scan: 136 orbits of 2^12 texts at (12, 9) load
-    # numpy first, so the scan, the histograms and the findings all take
-    # the array form; 20 orbits of 2^10 texts at (10, 6) stay pure
-    # throughout.  Loading numpy puts this process's module back, so it is
-    # not imported again
+    # numpy first, so the scan and the histograms both take the array form;
+    # 20 orbits of 2^10 texts at (10, 6) stay pure throughout.  The
+    # findings have one form.  Loading numpy puts this process's module
+    # back, so it is not imported again
     want = {nm: ordering_table(*nm) for nm in ((12, 9), (10, 6))}
     real, calls = sys.modules["numpy"], set()
 
@@ -579,7 +541,6 @@ def test_table_job_takes_one_form(monkeypatch):
     for module, name, form in (
         (extremal, "_pure_blocks", "pure"), (extremal, "kappa_blocks", "array"),
         (distribution, "_pure_tally", "pure"), (distribution, "_array_tally", "array"),
-        (extremal, "_pure_order", "pure"), (extremal, "_array_order", "array"),
     ):
         monkeypatch.setattr(module, name, recording(getattr(module, name), form))
     monkeypatch.setattr(embedding, "_load_numpy", lambda: sys.modules.__setitem__("numpy", real))
@@ -589,7 +550,7 @@ def test_table_job_takes_one_form(monkeypatch):
         calls.clear()
         table = ordering_table(n, m)
         assert (table.rows, table.violations) == (want[n, m].rows, want[n, m].violations)
-        assert len(calls) == 3 and {f for _, f in calls} == {form}, calls
+        assert len(calls) == 2 and {f for _, f in calls} == {form}, calls
         assert ("numpy" in sys.modules) == (form == "array")
 
 

@@ -191,3 +191,45 @@ def test_json_loaded_only_for_json_output(argv, loads, capsys):
     )
     assert (code, err) == (0, f"{loads}\n")
     assert main(argv) == 0 and capsys.readouterr().out == out
+
+
+# One command per kernel that switches form on whether numpy is loaded (the
+# tensor pass, the kappa2 scan, the exact tally, the posterior rows), and the
+# table, whose ordering findings have one form, with findings (exit 4)
+_CROSS_FORM = [
+    "moments 0110 200 --r 4",
+    "gaussian 0110 10..14",
+    "kappa --all 10",
+    "extremal --criterion kappa-min 12",
+    "hist 01101001 14",
+    "posterior 011 12",
+    "entropy 0110 14",
+    "table 10 6",
+    "repro --out {out}",
+]
+
+
+@pytest.mark.parametrize("command", _CROSS_FORM)
+def test_cold_and_warm_runs_give_the_same_bytes(command, tmp_path):
+    # each command in one fresh child that loads no numpy, so its kernels
+    # take their pure forms, and in one that imports numpy first, so they
+    # take their array forms: equal exit codes, stdout, stderr and files
+    runs = []
+    for warm in (False, True):
+        out = tmp_path / ("warm" if warm else "cold")
+        code, stdout, err = _child(
+            ("import numpy\n" if warm else "")
+            + "from delentropy.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "sys.stdout.flush()\n"
+            "print('numpy' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)",
+            *command.format(out=out).split(),
+        )
+        *msg, loaded = err.splitlines(keepends=True)
+        assert loaded == f"{warm}\n", (command, err)
+        files = {p.name: p.read_bytes() for p in out.iterdir()} if out.is_dir() else {}
+        runs.append((code, stdout, "".join(msg), files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] in (0, 4) and "Traceback" not in runs[0][2]
+    assert ("{out}" in command) == (len(runs[0][3]) == 13)
