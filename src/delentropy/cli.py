@@ -20,8 +20,9 @@ The capacity bounds behind exit 3:
 * one byte bound of 2^30 bytes (``core.MAX_BYTES``) for each of: the
   symbol rows and half tables of an exact enumeration (``hist``,
   ``table``, ``posterior``, ``entropy``, ``extremal --criterion
-  entropy-min``); the dict the library's ``posterior()`` returns (the
-  ``posterior`` subcommand streams its rows, so only the guard bounds it);
+  entropy-min``); the halves and one block of the ``posterior`` row
+  stream (``embedding._stream_bytes``); the dict the library's
+  ``posterior()`` returns;
   one block, and the tally, of a sampled histogram (``hist --sample``);
   the findings of the ``table`` entropy ordering, counted before any is
   formed; and an interleaving table longer than 64, which ``kappa`` builds
@@ -53,14 +54,15 @@ both forms: the tensor pass of exact ``moments``, ``gaussian`` (one pass
 for a range) and ``entropy --mode estimate|renyi2`` up to
 ``moments._PURE_CELL_STEPS`` cell-steps; the kappa2 scan of ``extremal
 --criterion kappa-min|kappa-max`` and ``kappa --all`` up to
-``extremal._PURE_PATTERNS`` patterns; and the exact enumerations of
-``hist``, ``posterior``, ``entropy``, ``table``, ``extremal --criterion
-entropy-min`` and ``repro`` up to ``embedding._PURE_TEXTS`` texts in all
+``extremal._PURE_PATTERNS`` patterns; and the exact histograms of
+``hist``, ``entropy``, ``table``, ``extremal --criterion entropy-min``
+and ``repro`` up to ``embedding._PURE_TEXTS`` texts in all
 (``embedding._pure_enumeration``, which loads numpy when it picks the
 array form).  An exact ``hist`` range counts the sum of its 2^n; a table
 or an entropy minimum one histogram of 2^n texts per symmetry orbit of
 the 2^M patterns and per n, and a table's kappa2 scan and findings follow
-its histograms.  Every sampled ``hist`` builds arrays and loads numpy.
+its histograms.  ``posterior`` never loads numpy.  Every sampled ``hist``
+builds arrays and loads numpy.
 """
 
 from __future__ import annotations
@@ -422,8 +424,8 @@ def _cmd_posterior(args) -> int:
     """Stream the rows one ``uncertainty_blocks`` block at a time, then the
     normalizer mu as the footer."""
     x = core.validate_pattern(args.pattern)
-    # x and n are checked, and the guard applied, before numpy loads and
-    # before mu is formed
+    # x and n are checked, and the guard applied, before the embedding
+    # module loads and before mu is formed
     m = core.check_lengths(len(x), args.n)
     core.check_enumeration(args.n, m, args.guard)
     from . import embedding

@@ -64,14 +64,17 @@ def before_numpy(cost: int, bound: int) -> bool:
     return "numpy" not in sys.modules and cost <= bound
 
 
+def _field_code(top: int) -> str:
+    """The narrowest unsigned ``struct`` type code that holds ``top``."""
+    return next(c for c in "BHIQ" if top >> 8 * struct.calcsize("<" + c) == 0)
+
+
 def _pack_fields(vectors: list, top: int) -> tuple[tuple[int, ...], struct.Struct]:
     """(ints, fields): each vector as one int whose field j holds entry j,
-    little-endian, in the narrowest unsigned ``struct`` type that holds
-    ``top``, and the ``struct.Struct`` that reads the bytes of such an int
-    back into its fields.  A sum of multiples of the ints reads back
-    exactly while its fields stay within top, since they never carry."""
-    code = next(c for c in "BHIQ" if top >> 8 * struct.calcsize("<" + c) == 0)
-    fields = struct.Struct(f"<{len(vectors[0])}{code}")
+    little-endian, in the ``_field_code`` of ``top`` and every entry, and
+    the ``struct.Struct`` that reads such an int back; a sum of multiples
+    of the ints reads back exactly while its fields stay within top."""
+    fields = struct.Struct(f"<{len(vectors[0])}{_field_code(max(top, *map(max, vectors)))}")
     return tuple(int.from_bytes(fields.pack(*v), "little") for v in vectors), fields
 
 

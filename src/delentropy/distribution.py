@@ -8,9 +8,9 @@ Both histograms split each text at its midpoint (``core._halves``),
 and form W(uv) = sum_i c_i(u) * s_i(v) from prefix counts of x in u and
 suffix counts of x in v: the exact one over all half-texts at once, the
 sampled one per drawn text.  The sampled one, and the array form of the
-exact one, take c_i and s_i from ``embedding._half_counts``, as the
-posterior rows do, stepped in the narrowest type of the uint8 -> uint16
--> uint32 -> int64 ladder that holds them.
+exact one, take c_i and s_i from ``embedding._half_counts``, stepped in
+the narrowest type of the uint8 -> uint16 -> uint32 -> int64 ladder that
+holds them.
 
 The exact histogram has one rule in two forms, with the same counts in the
 same order: ``_array_tally`` over the numpy half tables and ``_pure_tally``
@@ -24,6 +24,7 @@ functions that build arrays, which the sampled histogram always does.
 
 from __future__ import annotations
 
+import struct
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -31,12 +32,13 @@ from typing import TYPE_CHECKING
 
 from . import core
 from .embedding import (
-    _dot_rows,
+    _dots,
     _half_counts,
     _half_tables,
-    _prefix_vectors,
+    _live_prefixes,
     _pure_enumeration,
-    _suffix_vectors,
+    _suffix_code,
+    _suffix_columns,
     _validate,
     _walker,
 )
@@ -187,19 +189,20 @@ def _pure_tally(x: str, n: int) -> dict[int, int]:
     weight order, the zero bin included.
 
     The distinct prefix counts of x over the |u|-bit halves and suffix
-    counts over the |v|-bit halves (``embedding._prefix_vectors`` and
-    ``_suffix_vectors``) are counted with their multiplicities; W = c . s
-    is formed for all suffix vectors of a prefix vector at once
-    (``embedding._dot_rows``) and tallied over every pair, weighted by the
-    product of their multiplicities.  Merging equal vectors at every step
-    of the walk instead was about 10% faster at n = 16, a millisecond at
-    most.
+    counts over the |v|-bit halves (``embedding._live_prefixes`` and the
+    unpacked ``_suffix_columns``, the walks of the posterior rows) are
+    counted with their multiplicities; W = c . s is formed for all suffix
+    vectors of a prefix vector at once (``embedding._dots``) and tallied
+    over every pair, weighted by the product of their multiplicities.
     """
     h, k = core._halves(n)
-    suf = Counter(_suffix_vectors(x, k))
-    dots = _dot_rows(list(suf), core.binomial(n, len(x)))
+    code = _suffix_code(n, len(x))
+    fields = struct.Struct(f"<{1 << k}{code}")
+    suf = Counter(zip(*(fields.unpack(c.to_bytes(fields.size, "little"))
+                        for c in _suffix_columns(x, k, code))))
+    dots = _dots(*core._pack_fields(list(zip(*suf)), core.binomial(n, len(x))))
     counts: dict[int, int] = {}
-    for c, a in Counter(_prefix_vectors(x, h)).items():
+    for c, a in Counter(c for _, c, _ in _live_prefixes(x, h, 0)).items():
         for w, b in zip(dots(c), suf.values()):
             counts[w] = counts.get(w, 0) + a * b
     return dict(sorted(counts.items()))

@@ -6,19 +6,19 @@ index sets projecting y onto x).  Conditioned on observing x, a text carries
 posterior probability weight / total, where the total over all length-n texts
 is C(n, m) * 2^(n-m).
 
-The posterior rows have one rule in two forms, with the same rows in the
-same order: the half tables of ``_half_tables``, int64 numpy arrays, and
-``_pure_rows``, the same half-count vectors as tuples of Python ints.
-``_pure_enumeration`` chooses the form of every exact enumeration job once:
-at most ``_PURE_TEXTS`` texts in all take the pure form while numpy is not
-loaded, where it costs less than the numpy import alone.  numpy is
-imported only inside the functions that build arrays, so a small cold
-enumeration never loads it.
+The posterior rows have one form over Python ints (``uncertainty_blocks``),
+so no posterior loads numpy.  The exact histogram has two over the same
+split, ``_half_tables`` in numpy and ``distribution._pure_tally``, and
+``_pure_enumeration`` chooses once per job: at most ``_PURE_TEXTS`` texts
+in all take the pure form while numpy is not loaded, where it costs less
+than the numpy import alone.  numpy is imported only inside the functions
+that build arrays.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
@@ -29,33 +29,26 @@ from . import core
 if TYPE_CHECKING:
     import numpy as np
 
-# Texts whose weights ``uncertainty_blocks`` forms at once: with the
-# zero-weight texts dropped, a block holds at most this many rows, which
-# bounds the character block of bit_strings to (n + 1) * 16 KiB.
+# The most half-texts v in one chunk of ``uncertainty_blocks``: a block is
+# the nonzero rows of one half u over one chunk, at most this many.
 _ROWS = 1 << 14
 
 # Bytes per row of the dict ``posterior`` returns, on top of the n
 # characters of its text key: the str and int objects and the dict slot,
-# plus the weight row and text indices held while it fills.  The peak is
-# 95-112 + n bytes per row, measured with tracemalloc for m = 1..5 at
-# n = 16..20.
+# plus the block of the stream held while it fills.  The peak is 78-103 + n
+# bytes per row, measured with tracemalloc for m = 1..5 at n = 16..20.
 _DICT_ROW_BYTES = 120
 
 # Patterns whose compiled text walks ``count_embeddings`` keeps.
 _WALKERS = 256
 
-# Texts up to which an exact enumeration runs over Python ints while numpy
-# is not loaded: a histogram or a posterior of 2^n texts, or a loop of
-# histograms on its total.  In process (min of 3, random patterns at
-# m = 1..16) the pure histogram and posterior rows take at most 15 ms at
-# n = 16 and 29 and 34 ms at n = 18.  Cold CLI runs, pure form against
-# numpy import and array form (2-core box, median of 11): ``hist`` of an
-# 8-bit pattern 77 against 201 ms at n = 16 and 114 against 145 ms at
-# n = 20, but 254 against 208 ms at n = 22 (5 runs), where a 10-bit
-# pattern loses by more (617 against 392 ms); ``posterior 100`` 86
-# against 172 ms at n = 16 and 364 against 484 ms at n = 20 (5 runs);
-# ``table 14 6`` (20 orbits of 2^14 texts) 114 against 163 ms.  2^16
-# keeps a margin below every crossover.
+# Texts up to which an exact histogram job (one histogram of 2^n texts, or
+# a loop of them on its total) runs over Python ints while numpy is not
+# loaded.  Cold CLI runs, pure form against numpy import and array form
+# (2-core box, median of 11): ``hist`` of an 8-bit pattern 77 against 201
+# ms at n = 16 and 114 against 145 ms at n = 20, but 254 against 208 ms at
+# n = 22 (5 runs); ``table 14 6`` (20 orbits of 2^14 texts) 114 against
+# 163 ms.  Warm, the array tally is 1.4-3x faster at n = 12..16.
 _PURE_TEXTS = 1 << 16
 
 
@@ -206,34 +199,8 @@ def _step(c: tuple[int, ...], x: str, b: str) -> tuple[int, ...]:
     return (1, *[ci + prev if xi == b else ci for ci, prev, xi in zip(c[1:], c, x)])
 
 
-def _prefix_vectors(x: str, k: int) -> list[tuple[int, ...]]:
-    """The prefix counts (c_0..c_m) of x in every k-bit half u, in text
-    order, as tuples of Python ints: the column u of ``_prefix_counts``.
-    Each step appends a bit to every half, so the order is kept."""
-    vecs = [(1,) + (0,) * len(x)]
-    for _ in range(k):
-        vecs = [_step(c, x, b) for c in vecs for b in "01"]
-    return vecs
-
-
-def _suffix_vectors(x: str, k: int) -> list[tuple[int, ...]]:
-    """The suffix counts (s_0..s_m) of x in every k-bit half v, in text
-    order, s_i counting x[i:] in v: the prefix counts of reverse(x) in
-    reverse(v), rows flipped, as in ``_half_counts``.  Each step puts a bit
-    in front of every half, so the halves led by 0 come first."""
-    rx, vecs = x[::-1], [(1,) + (0,) * len(x)]
-    for _ in range(k):
-        vecs = [_step(c, rx, b) for b in "01" for c in vecs]
-    return [c[::-1] for c in vecs]
-
-
-def _dot_rows(rows: list[tuple[int, ...]], top: int) -> Callable[[tuple[int, ...]], tuple]:
-    """A function of a vector c returning the tuple of c . s for s in rows,
-    each a nonnegative int at most ``top``.  Column i of rows is one int of
-    ``core._pack_fields``, so a call is at most m + 1 products of a small
-    int and a packed column, read back by one ``struct``.
-    """
-    cols, fields = core._pack_fields(list(zip(*rows)), top)
+def _dots(cols: list[int], fields: struct.Struct) -> Callable[[tuple[int, ...]], tuple]:
+    """c -> the ``fields`` of sum_i c_i cols[i], exact while none overflows."""
     return lambda c: fields.unpack(
         sum(ci * col for ci, col in zip(c, cols) if ci).to_bytes(fields.size, "little"))
 
@@ -292,8 +259,8 @@ def _half_tables(x: str, n: int, guard: int | None) -> tuple[np.ndarray, np.ndar
     and column v of suf being the texts of binary value u and v.
 
     An embedding puts some prefix x[:i] in u and the rest in v, so
-    W(uv) = pre[:, u] @ suf[:, v]; the exact histogram and the posterior
-    rows both take their half counts from here.  n <= 62 keeps each half
+    W(uv) = pre[:, u] @ suf[:, v]; the array form of the exact histogram
+    takes its half counts from here.  n <= 62 keeps each half
     within 31 steps, so the ladder never leaves uint32.  x and n are
     checked, and the guard and byte bound applied (``_validate``), before
     any table is built.
@@ -321,11 +288,10 @@ def _support_size(n: int, m: int) -> int:
 
 
 def _pure_enumeration(texts: int) -> bool:
-    """Whether an exact enumeration job of ``texts`` texts in all runs over
-    Python ints: only before numpy loads, up to _PURE_TEXTS texts
-    (``core.before_numpy``); otherwise numpy is loaded here.  A job asks
-    once, on its total, before its first kernel, and each kernel asking on
-    its own texts then gets the same answer: no job pays for both forms."""
+    """Whether an exact histogram job of ``texts`` texts in all runs over
+    Python ints (``core.before_numpy`` up to _PURE_TEXTS); otherwise numpy
+    is loaded here, so each later histogram of the job, asking on its own
+    texts, gets the same answer: no job pays for both forms."""
     pure = core.before_numpy(texts, _PURE_TEXTS)
     if not pure:
         _load_numpy()
@@ -338,71 +304,94 @@ def _load_numpy() -> None:
     import numpy  # noqa: F401
 
 
-def _pure_rows(x: str, n: int) -> Iterator[tuple[list[str], list[int]]]:
-    """The rows of ``uncertainty_blocks`` over Python ints, one block per
-    half u with any nonzero weight: W(uv) is the dot product of the
-    ``_prefix_vectors`` of u and the ``_suffix_vectors`` of v, for the
-    halves of ``core._halves``, all in text order (``_dot_rows``)."""
-    h, k = core._halves(n)
-    dots = _dot_rows(_suffix_vectors(x, k), core.binomial(n, len(x)))
-    vs = [format(v, f"0{k}b") for v in range(1 << k)]
-    for u, c in enumerate(_prefix_vectors(x, h)):
-        weights = dots(c)
-        if any(weights):
-            u_text = format(u, f"0{h}b") if h else ""
-            yield list(map(u_text.__add__, compress(vs, weights))), list(filter(None, weights))
+def _suffix_code(n: int, m: int) -> str:
+    """The ``struct`` type of W <= C(n, m) and s_i <= C(|v|, min(m, |v| // 2))."""
+    k = core._halves(n)[1]
+    return core._field_code(max(core.binomial(n, m), math.comb(k, min(m, k // 2))))
+
+
+def _suffix_columns(x: str, k: int, code: str) -> list[int]:
+    """The suffix counts s_0..s_m of x in all k-bit halves v, column i one
+    int whose field v, of ``struct`` type ``code``, is s_i(v).  A bit b put
+    in front of v maps s_i to s_i + [x_i = b] s_(i+1): one packed addition
+    per row for the halves led by 0, one for those led by 1, shifted past."""
+    width, cols = 8 * struct.calcsize(code), [0] * len(x) + [1]
+    for j in range(k):
+        cols = [c + (xi == "0") * d | (c + (xi == "1") * d) << (width << j)
+                for c, d, xi in zip(cols, cols[1:] + [0], x + " ")]
+    return cols
+
+
+def _live_prefixes(x: str, h: int, least: int) -> Iterator[tuple[str, tuple[int, ...], int]]:
+    """(u, c, a) for every h-bit half u, in text order, with its prefix counts
+    c and reach a (the longest prefix of x it holds) at least ``least``: a
+    depth-first walk that drops a u whose reach plus bits left is less."""
+    m, stack = len(x), [("", (1,) + (0,) * len(x), 0)]
+    while stack:
+        u, c, a = stack.pop()
+        if len(u) == h:
+            yield u, c, a
+            continue
+        for b in "10":
+            r = a + (a < m and x[a] == b)
+            if r + h - len(u) > least:
+                stack.append((u + b, _step(c, x, b), r))
 
 
 def uncertainty_blocks(
     x: str, n: int, *, guard: int | None = None
 ) -> Iterator[tuple[list[str], list[int]]]:
     """Yield the rows of ``uncertainty_set`` as (texts, weights) list pairs
-    of at most ``_ROWS`` rows each, in the same order.
+    of at most ``_ROWS`` rows each, in the same order, over Python ints.
 
-    x, n and the guard are checked first (``_validate``).  Then 2^n texts
-    take ``_pure_rows`` while ``_pure_enumeration`` admits them, and
-    ``_array_rows`` otherwise; the rows and their order are the same.
+    x, n and the guard are checked (``_validate``) and the stream charged
+    (``_stream_bytes``) first.  With y = uv (``core._halves``), a(u) the
+    longest prefix of x in u and b(v) the start of the longest suffix of x
+    in v, W(uv) = c(u) . s(v) > 0 exactly when a(u) >= b(v), and b(v) <= t
+    exactly when s_t(v) > 0.  As a(u) <= min(m, |u|), only the v with
+    s_|u|(v) > 0 are kept when m > |u|, and ``_live_prefixes`` drops every u
+    below the least b(v).  Each chunk of ``_ROWS`` v has its packed columns,
+    least b(v) and, per level t, its v with b(v) <= t joined by newlines: a
+    row is the nonzero ``_dots`` of c(u) on a chunk, its texts one
+    ``replace`` and ``split`` of level a(u).
     """
-    _validate(x, n, guard)
-    pure = _pure_enumeration(1 << n)
-    yield from _pure_rows(x, n) if pure else _array_rows(x, n, guard)
+    m = _validate(x, n, guard)
+    core.charge(f"posterior rows over 2^{n} texts refused: the joined half-texts and "
+                f"suffix columns of its halves", _stream_bytes(n, m))
+    h, k = core._halves(n)
+    code = _suffix_code(n, m)
+    size, full = struct.calcsize(code), struct.Struct(f"<{1 << k}{code}")
+    cols, vs = _suffix_columns(x, k, code), range(1 << k)
+    if m > h:
+        vs = list(compress(vs, full.unpack(cols[h].to_bytes(full.size, "little"))))
+        picks = [slice(v * size, v * size + size) for v in vs]
+        cols = [int.from_bytes(b"".join(map(c.to_bytes(full.size, "little").__getitem__, picks)),
+                               "little") for c in cols]
+    chunks = []
+    for lo in range(0, len(vs), _ROWS):
+        texts = [format(v, f"0{k}b") for v in vs[lo:lo + _ROWS]]
+        fields = struct.Struct(f"<{len(texts)}{code}")
+        part = [c >> 8 * size * lo & (1 << 8 * fields.size) - 1 for c in cols]
+        levels = ["\n".join(compress(texts, fields.unpack(c.to_bytes(fields.size, "little"))))
+                  for c in part[:min(m, h) + 1]]
+        chunks.append((next(i for i, c in enumerate(part) if c), _dots(part, fields), levels))
+    del cols, texts  # each chunk holds its own slice of the columns
+    for u, c, a in _live_prefixes(x, h, min(least for least, _, _ in chunks)):
+        for least, dots, levels in chunks:
+            if a >= least:
+                texts = (u + levels[a].replace("\n", "\n" + u)).split("\n")
+                yield texts, list(filter(None, dots(c)))
 
 
-def _array_rows(x: str, n: int, guard: int | None) -> Iterator[tuple[list[str], list[int]]]:
-    """The blocks of ``uncertainty_blocks`` from the numpy half tables.
-
-    A block is a run of ``_ROWS`` consecutive texts uv of ``pre.T @ suf``
-    over the half tables of ``_half_tables``: several whole u-rows when
-    2^|v| <= _ROWS, else a ``_ROWS``-wide slice of one u-row.  Its
-    zero-weight texts are dropped and the text strings of the rest come
-    from ``bit_strings``, |v| being log2 of the width of suf.  Memory is
-    O(m * 2^(n/2) + _ROWS), so only the enumeration guard bounds the stream.
-
-    Let a(u) be the longest prefix of x that u holds and b(v) the start of
-    the longest suffix of x that v holds.  The tables are prefix- and
-    suffix-closed, so W(uv) > 0 exactly when a(u) >= b(v), and a block
-    whose u-rows all have a(u) < min_v b(v) holds only zero weights: it is
-    skipped unformed (constant patterns leave one live u-row).
-    """
-    import numpy as np
-
-    pre, suf = _half_tables(x, n, guard)
-    pre = np.ascontiguousarray(pre.T)
-    reach = (pre > 0).sum(axis=1) - 1  # a(u)
-    start = len(x) + 1 - (suf > 0).sum(axis=0)  # b(v)
-    live = reach >= start.min()
-    k = suf.shape[1].bit_length() - 1
-    width = min(_ROWS, 1 << k)
-    step = max(1, _ROWS >> k)
-    for u in range(0, len(pre), step):
-        if not live[u : u + step].any():
-            continue
-        for lo in range(0, 1 << k, width):
-            # entry j of the block is text (u << k) + lo + j in either shape
-            weights = (pre[u : u + step] @ suf[:, lo : lo + width]).ravel()
-            texts = np.flatnonzero(weights)
-            if len(texts):
-                yield bit_strings(texts + ((u << k) + lo), n), weights[texts].tolist()
+def _stream_bytes(n: int, m: int) -> int:
+    """The peak bytes of ``uncertainty_blocks`` at (n, m), at most: per
+    |v|-bit half, its string in each level a(u) can take, twice its packed
+    suffix counts, and 100 while the v are picked (m > |u|); 2n + 250 per
+    row of a block and the one its reader holds."""
+    h, k = core._halves(n)
+    levels = min(m, h) - max(0, m - k) + 1
+    per_half = levels * (k + 1) + 2 * (m + 1) * struct.calcsize(_suffix_code(n, m)) + 100 * (m > h)
+    return (per_half << k) + min(_ROWS, 1 << k) * (2 * n + 250)
 
 
 def uncertainty_set(
@@ -411,8 +400,8 @@ def uncertainty_set(
     """Yield (text, weight) for every length-n text with weight >= 1.
 
     Texts come out in lexicographic order, each exactly once; the rows
-    come in blocks from ``uncertainty_blocks``, so only its two half tables
-    and one block are held.  ``workers`` is accepted for compatibility and
+    come in blocks from ``uncertainty_blocks``, so only its halves and one
+    block are held.  ``workers`` is accepted for compatibility and
     ignored.
     """
     for texts, weights in uncertainty_blocks(x, n, guard=guard):

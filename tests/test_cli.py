@@ -10,11 +10,14 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from delentropy import (
     asymptotic_variance,
     check_entropy_min,
     cli,
+    core,
     distribution,
     entropy,
     entropy_report,
@@ -962,3 +965,52 @@ def test_repro_files_unchanged_through_out(tmp_path, capsys):
     for path in tmp_path.iterdir():
         assert path.read_text() == expected.joinpath(path.name).read_text()
     assert len(list(tmp_path.iterdir())) == 13
+
+
+@st.composite
+def _argv(draw):
+    """argv of one subcommand over small patterns (some malformed), lengths
+    and short ranges, with the output flags."""
+    x = draw(st.text("01", min_size=1, max_size=8))
+    if draw(st.integers(0, 9)) == 0:
+        x = draw(st.sampled_from(["", "012"]))
+    n, m = draw(st.integers(len(x) - 1, 14)), str(draw(st.integers(0, 8)))
+    span = draw(st.sampled_from([str(n), f"{n}..{n + draw(st.integers(-1, 3))}", "5..x"]))
+    command = draw(st.sampled_from([
+        ["kappa", x], ["kappa", x, "--decomposition"], ["kappa", "--all", m],
+        ["entropy", x, str(n), "--mode", draw(st.sampled_from(["exact", "estimate", "renyi2", "min"]))],
+        ["hist", x, span],
+        ["hist", x, str(n), "--sample", str(draw(st.integers(0, 300))), "--seed", "1"],
+        ["table", str(n), str(min(int(m), 6))],
+        ["extremal", "--criterion", draw(st.sampled_from(["kappa-max", "kappa-min"])), m],
+        ["extremal", "--criterion", "entropy-min", str(min(int(m), 5)), "--n-range", span],
+        ["moments", x, str(n), "--r", str(draw(st.integers(1, 4))),
+         "--mode", draw(st.sampled_from(["exact", "asymptotic"]))],
+        ["gaussian", x, span],
+        ["posterior", x, str(n)],
+    ]))
+    flags = draw(st.lists(st.sampled_from([["--format", "json"], ["--full-precision"],
+                                           ["--out", "{out}"]]), unique_by=tuple, max_size=3))
+    if command[0] in ("entropy", "hist", "posterior", "table") and draw(st.booleans()):
+        flags.append(["--guard", str(draw(st.integers(0, 14)))])
+    return command + [f for flag in flags for f in flag]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_drawn_argv_exit_cleanly(argv, tmp_path_factory, capsys):
+    # every drawn command, under a 4 MiB byte bound, ends in a documented
+    # exit code: 0, 2 (usage, argparse's included), 3 (capacity) or 4
+    # (finding), never in an uncaught exception
+    if "{out}" in argv:
+        argv[argv.index("{out}")] = str(tmp_path_factory.mktemp("argv") / "out")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "MAX_BYTES", 1 << 22)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert "Traceback" not in err, argv

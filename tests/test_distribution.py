@@ -537,6 +537,10 @@ def test_pure_tally_matches_array_tally():
     x = "0110100110"
     assert core.binomial(20, len(x)) >= 1 << 16
     assert distribution._pure_tally(x, 20) == distribution._array_tally(x, 20, None)
+    # suffix counts past C(n, m): 0^20 in an 11-bit half reaches C(11, 5) =
+    # 462 against C(21, 20) = 21, so the fields are sized by the entries
+    for x, n in (("0" * 20, 21), ("0" * 19, 21), ("1" * 21, 22)):
+        assert distribution._pure_tally(x, n) == distribution._array_tally(x, n, None), (x, n)
 
 
 def test_exact_form_chosen_by_numpy_and_size(monkeypatch):
@@ -544,16 +548,13 @@ def test_exact_form_chosen_by_numpy_and_size(monkeypatch):
 
     from delentropy import embedding, extremal
 
-    # with numpy loaded every histogram and posterior takes the array form
+    # with numpy loaded every histogram takes the array form
     def refuse(*args):
         raise AssertionError("pure form run with numpy loaded")
 
     want = exact_histogram("0110", 10).counts
-    rows = list(embedding.uncertainty_set("011", 9))
     monkeypatch.setattr(distribution, "_pure_tally", refuse)
-    monkeypatch.setattr(embedding, "_pure_rows", refuse)
     assert "numpy" in sys.modules and exact_histogram("0110", 10).counts == want
-    assert list(embedding.uncertainty_set("011", 9)) == rows
     assert extremal.ordering_table(6, 3).ordering_ok
     monkeypatch.undo()
     # before numpy loads, the pure form up to _PURE_TEXTS texts, above it
@@ -567,8 +568,6 @@ def test_exact_form_chosen_by_numpy_and_size(monkeypatch):
                         lambda x, n: forms.append(("pure", n)) or {1: 1})
     monkeypatch.setattr(distribution, "_array_tally",
                         lambda x, n, guard: forms.append(("array", n)) or {1: 1})
-    monkeypatch.setattr(embedding, "_pure_rows", lambda x, n: iter([(["pure"], [n])]))
-    monkeypatch.setattr(embedding, "_array_rows", lambda x, n, guard: iter([(["array"], [n])]))
     monkeypatch.setattr(embedding, "_load_numpy",
                         lambda: sys.modules.__setitem__("numpy", real))
     assert embedding._PURE_TEXTS == 1 << 16
@@ -577,9 +576,6 @@ def test_exact_form_chosen_by_numpy_and_size(monkeypatch):
         forms.clear()
         assert exact_histogram("0", n).counts == {1: 1}
         assert forms == [(form, n)]
-        assert ("numpy" in sys.modules) == (form == "array")
-        sys.modules.pop("numpy", None)
-        assert list(embedding.uncertainty_blocks("0", n)) == [([form], [n])]
         assert ("numpy" in sys.modules) == (form == "array")
     # a job of many histograms decides once, on its total, at its entry
     # point: 6 orbits of 4-bit patterns at n = 13 are 49,152 texts, pure;
@@ -608,4 +604,7 @@ def test_exact_form_chosen_by_numpy_and_size(monkeypatch):
             exact_histogram(x, n, guard=100 if n == 63 else None)
         with pytest.raises(error):
             next(embedding.uncertainty_blocks(x, n, guard=100 if n == 63 else None))
+    assert "numpy" not in sys.modules
+    # the posterior rows have one form, which loads numpy at no n
+    assert sum(len(t) for t, _ in embedding.uncertainty_blocks("0", 17)) == (1 << 17) - 1
     assert "numpy" not in sys.modules

@@ -315,24 +315,6 @@ def test_uncertainty_blocks_both_shapes(monkeypatch):
             assert got == _oracle_rows(x, n)
 
 
-@pytest.mark.parametrize("shift", [-1, 1])
-def test_uncertainty_blocks_follow_the_table_split(monkeypatch, shift):
-    # the rows take |v| from the width of the suffix table they are handed,
-    # so half tables split one position off the midpoint give the same rows
-    from delentropy import embedding
-
-    def off_midpoint(x, n, guard):
-        embedding._validate(x, n, guard)
-        h = n // 2 + shift
-        return embedding._half_counts(x, embedding._half_bits(h), embedding._half_bits(n - h))
-
-    monkeypatch.setattr(embedding, "_half_tables", off_midpoint)
-    for rows in (8, embedding._ROWS):
-        monkeypatch.setattr(embedding, "_ROWS", rows)
-        for x, n in (("0110", 12), ("0110", 13), ("1", 9), ("01", 10), ("000", 11)):
-            assert list(uncertainty_set(x, n)) == _oracle_rows(x, n), (x, n, rows)
-
-
 def test_uncertainty_blocks_skip_dead_rows(monkeypatch):
     # constant and near-constant patterns leave few u-rows with any
     # nonzero weight; skipping the rest must not change a row, in either
@@ -408,33 +390,81 @@ def _block_rows(blocks):
     return [row for texts, weights in blocks for row in zip(texts, weights)]
 
 
-def test_pure_rows_match_array_rows():
-    # the same rows in the same (lexicographic) order, cases as for the
-    # exact histogram; the pure form yields one block per half u with any
-    # nonzero weight, and no empty block
+def test_uncertainty_blocks_match_the_oracles():
+    # the rows of every text in lexicographic order, cases as for the exact
+    # histogram plus long patterns whose v-halves are picked (m > n // 2);
+    # every block is nonempty and holds at most _ROWS rows, and at n = 16
+    # there is one block per half u with any nonzero weight
     from delentropy import embedding
 
-    for x, n in oracles.exact_form_cases() + [("1" * 16, 16), ("0" * 12, 16), ("0" * 13 + "1", 16)]:
-        blocks = list(embedding._pure_rows(x, n))
-        assert all(texts for texts, _ in blocks), (x, n)
-        assert _block_rows(blocks) == _block_rows(embedding._array_rows(x, n, None)), (x, n)
+    cases = oracles.exact_form_cases() + [("1" * 16, 16), ("0" * 12, 16), ("0" * 13 + "1", 16)]
+    cases += [("0110100110", 16), ("1" * 10, 17), ("0" * 9 + "1", 12)]
+    for x, n in cases:
+        blocks = list(embedding.uncertainty_blocks(x, n))
+        assert all(0 < len(texts) == len(weights) <= embedding._ROWS for texts, weights in blocks)
+        assert _block_rows(blocks) == _oracle_rows(x, n), (x, n)
     # constant patterns skip every all-zero block: 1^12 at n = 16 needs 4
     # ones in the 8-bit half u, 1^16 all 16
-    heads = [texts[0][:8] for texts, _ in embedding._pure_rows("1" * 12, 16)]
+    heads = [texts[0][:8] for texts, _ in embedding.uncertainty_blocks("1" * 12, 16)]
     assert heads == [format(u, "08b") for u in range(256) if format(u, "b").count("1") >= 4]
-    assert list(embedding._pure_rows("1" * 16, 16)) == [(["1" * 16], [1])]
+    assert list(embedding.uncertainty_blocks("1" * 16, 16)) == [(["1" * 16], [1])]
     # n = 1 leaves u empty
-    assert list(embedding._pure_rows("1", 1)) == [(["1"], [1])]
+    assert list(embedding.uncertainty_blocks("1", 1)) == [(["1"], [1])]
+    # past the all-text oracle, where the suffix counts pass C(n, m) and
+    # take wider fields: per-text counts, the support and the total mass
+    for x, n in (("0" * 20, 21), ("0" * 19, 21), ("1" * 21, 22)):
+        rows = list(uncertainty_set(x, n))
+        assert all(count_embeddings(x, y) == w for y, w in rows)
+        assert len(rows) == embedding._support_size(n, len(x))
+        assert sum(w for _, w in rows) == total_masks(n, len(x))
+
+
+def test_stream_costed_at_its_peak(monkeypatch):
+    # _stream_bytes bounds the tracemalloc peak of a stream read block by
+    # block (the halves are held from the first block on), and is within
+    # 1.5x of it on constant patterns with m <= n // 2; a bound one byte
+    # under it refuses before any work, naming it
+    import tracemalloc
+
+    from delentropy import core, embedding
+
+    for x, n in (("0", 24), ("0" * 4, 25), ("0" * 11, 22), ("0110100110", 23), ("0" * 14, 24),
+                 ("0" * 20, 24), ("01" * 8, 27)):
+        need = embedding._stream_bytes(n, len(x))
+        tracemalloc.start()
+        try:
+            for i, (texts, weights) in enumerate(embedding.uncertainty_blocks(x, n)):
+                if i == 3:
+                    break
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= need, (x, n, peak, need)
+        if not x.strip("0") and len(x) <= n // 2:
+            assert 2 * need <= 3 * peak, (x, n, peak, need)
+        monkeypatch.setattr(core, "MAX_BYTES", need - 1)
+        with pytest.raises(CapacityError, match=f"about {need} bytes"):
+            next(embedding.uncertainty_blocks(x, n))
+        monkeypatch.undo()
 
 
 def test_dot_rows_fields_hold_their_bound():
-    # each narrowest item type, up to 64-bit fields
-    from delentropy import embedding
+    # each narrowest item type, up to 64-bit fields, for the dot products of
+    # c with each of the rows over their packed columns
+    from delentropy import core, embedding
+
+    def dot_rows(rows, top):
+        return embedding._dots(*core._pack_fields(list(zip(*rows)), top))
 
     rng = random.Random(5)
     for top in (255, 256, 2**16, 2**32 - 1, 2**40, 2**63 - 1):
         rows = [tuple(rng.randrange(1 + top // 8) for _ in range(3)) for _ in range(50)]
         c = (1, 2, 5)
         want = tuple(sum(a * b for a, b in zip(c, s)) for s in rows)
-        assert max(want) <= top and embedding._dot_rows(rows, top)(c) == want, top
-        assert embedding._dot_rows(rows, top)((0, 0, 0)) == (0,) * 50
+        assert max(want) <= top and dot_rows(rows, top)(c) == want, top
+        assert dot_rows(rows, top)((0, 0, 0)) == (0,) * 50
+    # entries above the bound widen the fields, as the suffix counts of
+    # 0^20 in an 11-bit half reach C(11, 5) = 462, above C(21, 20) = 21
+    rows = [(300, 1), (7, 1)]
+    assert dot_rows(rows, 255)((0, 1)) == (1, 1)
+    assert dot_rows(rows, 255)((1, 0)) == (300, 7)

@@ -107,14 +107,22 @@ def test_large_moment_tensor_imports_numpy(capsys):
     assert main(argv) == 0 and capsys.readouterr().out == out
 
 
-@pytest.mark.parametrize(
-    "argv", [["hist", "01101001", "17"], ["posterior", "011", "17"], ["table", "12", "6"]]
-)
+@pytest.mark.parametrize("argv", [["hist", "01101001", "17"], ["table", "12", "6"]])
 def test_large_enumeration_imports_numpy(argv, capsys):
-    # 2^17 texts, or 20 orbits of 2^12 texts, above the pure forms
+    # 2^17 texts, or 20 orbits of 2^12 texts, above the pure tally
     code, out, err = _child(f"from delentropy.cli import main\nmain(sys.argv[1:])\n{_LOADED}", *argv)
     assert code == 0
     assert "'numpy'" in err.splitlines()[-1]
+    main(argv)
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("argv", [["posterior", "011", "17"], ["posterior", "0110100110", "20"]])
+def test_large_posterior_loads_no_numpy(argv, capsys):
+    # the posterior rows have one pure form, at 2^17 and at 2^20 texts
+    code, out, err = _child(f"from delentropy.cli import main\nmain(sys.argv[1:])\n{_LOADED}", *argv)
+    assert code == 0
+    assert "numpy" not in err.splitlines()[-1]
     main(argv)
     assert capsys.readouterr().out == out
 
@@ -194,8 +202,9 @@ def test_json_loaded_only_for_json_output(argv, loads, capsys):
 
 
 # One command per kernel that switches form on whether numpy is loaded (the
-# tensor pass, the kappa2 scan, the exact tally, the posterior rows), and the
-# table, whose ordering findings have one form, with findings (exit 4)
+# tensor pass, the kappa2 scan, the exact tally), and the posterior rows and
+# the table's ordering findings (exit 4), which have one form each; a
+# posterior past 2^16 texts, whose cold run once took the array form
 _CROSS_FORM = [
     "moments 0110 200 --r 4",
     "gaussian 0110 10..14",
@@ -203,6 +212,7 @@ _CROSS_FORM = [
     "extremal --criterion kappa-min 12",
     "hist 01101001 14",
     "posterior 011 12",
+    "posterior 0110 17",
     "entropy 0110 14",
     "table 10 6",
     "repro --out {out}",
