@@ -107,7 +107,9 @@ def test_large_moment_tensor_imports_numpy(capsys):
     assert main(argv) == 0 and capsys.readouterr().out == out
 
 
-@pytest.mark.parametrize("argv", [["hist", "01101001", "17"], ["table", "12", "6"]])
+@pytest.mark.parametrize(
+    "argv", [["hist", "01101001", "17"], ["entropy", "01101001", "17"], ["table", "12", "6"]]
+)
 def test_large_enumeration_imports_numpy(argv, capsys):
     # 2^17 texts, or 20 orbits of 2^12 texts, above the pure tally
     code, out, err = _child(f"from delentropy.cli import main\nmain(sys.argv[1:])\n{_LOADED}", *argv)
